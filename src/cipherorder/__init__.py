@@ -50,6 +50,7 @@ from .metrics import (
 from .perms import Permutation, compose, cycle, from_cycles, identity, transposition
 from .qsecurity import (
     ComparisonReport,
+    Direction,
     ImageProjection,
     compare_q,
     conditional_guesswork,
@@ -65,6 +66,7 @@ __all__ = [
     "CipherDist",
     "ComparisonReport",
     "CosetDecomposition",
+    "Direction",
     "DoubleCoset",
     "DoublyStochasticWitness",
     "GroupSizeError",

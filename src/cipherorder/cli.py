@@ -34,7 +34,7 @@ from .metrics import (
     shannon_entropy,
     variation_to_uniform,
 )
-from .qsecurity import ComparisonReport, compare_q
+from .qsecurity import ComparisonReport, Direction, compare_q
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -151,7 +151,7 @@ def _comparison_csv(
                 "max_ncpa_advantage",
                 str(level.max_advantage_left),
                 str(level.max_advantage_right),
-                level.verdict,
+                level.verdict.value,
             ]
         )
         rows.append(
@@ -161,7 +161,7 @@ def _comparison_csv(
                 "min_conditional_guesswork",
                 str(level.min_guesswork_left),
                 str(level.min_guesswork_right),
-                level.verdict,
+                level.verdict.value,
             ]
         )
         if per_tuple:
@@ -173,7 +173,9 @@ def _comparison_csv(
                         "ncpa_advantage",
                         str(tc.advantage_left),
                         str(tc.advantage_right),
-                        _tuple_direction(tc.advantage_left, tc.advantage_right, False),
+                        Direction.of_metric(
+                            tc.advantage_left, tc.advantage_right, higher_is_safer=False
+                        ).value,
                     ]
                 )
                 rows.append(
@@ -183,7 +185,9 @@ def _comparison_csv(
                         "conditional_guesswork",
                         str(tc.guesswork_left),
                         str(tc.guesswork_right),
-                        _tuple_direction(tc.guesswork_left, tc.guesswork_right, True),
+                        Direction.of_metric(
+                            tc.guesswork_left, tc.guesswork_right, higher_is_safer=True
+                        ).value,
                     ]
                 )
                 rows.append(
@@ -209,20 +213,13 @@ def _comparison_csv(
     return rows
 
 
-def _tuple_direction(left: Fraction, right: Fraction, bigger_is_safer: bool) -> str:
-    if left == right:
-        return "equivalent"
-    safer_left = left > right if bigger_is_safer else left < right
-    return "left-no-less-secure" if safer_left else "right-no-less-secure"
-
-
 def _print_comparison(
     report: ComparisonReport, left: str, right: str, per_tuple: bool
 ) -> None:
     print(f"compare {left} (left) vs {right} (right)")
     for level in report.levels:
         print(
-            f"q={level.q}: verdict={level.verdict}  "
+            f"q={level.q}: verdict={level.verdict.value}  "
             f"max_adv {left}={level.max_advantage_left} @"
             f"{level.max_advantage_left_tuple} "
             f"{right}={level.max_advantage_right} @"
@@ -239,7 +236,7 @@ def _print_comparison(
                     f"{tc.coset_verdict.relation.value} profile="
                     f"{tc.profile_verdict.relation.value}"
                 )
-    print(f"overall: {report.overall}")
+    print(f"overall: {report.overall.value}")
 
 
 def _write_csv(rows: list[list[str]], path: str) -> None:
@@ -258,7 +255,7 @@ def _run_comparisons(
             scenario.distribution(left), scenario.distribution(right), q_max
         )
         _print_comparison(report, left, right, per_tuple)
-        if report.overall == "mixed":
+        if report.overall is Direction.MIXED:
             coherent = False
         rows = _comparison_csv(report, left, right, per_tuple)
         if not all_rows:

@@ -37,10 +37,7 @@ from .groups import (
 from .majorize import Relation, compare
 from .metrics import ENTROPY_TOLERANCE, guesswork, shannon_entropy
 from .perms import Permutation
-from .qsecurity import compare_q
-
-_LEFT = "left-no-less-secure"
-_EQUAL = "equivalent"
+from .qsecurity import Direction, compare_q
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,9 @@ def _direction_rows(
         rows.rows.append(
             CheckRow(
                 f"q{level.q}_direction_{label}",
-                f"{_LEFT} or {_EQUAL}",
-                level.verdict,
-                level.verdict in (_LEFT, _EQUAL),
+                f"{Direction.LEFT.value} or {Direction.EQUAL.value}",
+                level.verdict.value,
+                level.verdict in (Direction.LEFT, Direction.EQUAL),
             )
         )
 

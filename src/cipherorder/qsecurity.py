@@ -1,22 +1,22 @@
-"""Security at data complexity q: tuple actions, coset projections, orderings.
+"""Security at data complexity q: tuple actions, image projections, orderings.
 
-An adversary holding the images of a q-tuple p of distinct plaintexts knows
-the realized permutation only up to the left coset of Stab(p) it lies in.
-Projecting a cipher distribution onto those cosets yields the vector behind
-both q-query metrics: NCPA advantage (variation distance of the coset masses
-from uniform) and conditional guesswork (guesswork of the summed sorted
-per-coset profiles).
+An adversary holding the images g(p) of a q-tuple p of distinct plaintexts
+knows the realized permutation g only up to its left coset of Stab(p).
+``project`` groups a distribution by g(p) in one pass, yielding the vector
+behind both q-query metrics: NCPA advantage (variation distance of the coset
+masses from uniform) and conditional guesswork (guesswork of the summed
+sorted per-coset profiles).  Every verdict is a ``Direction``.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .dist import CipherDist
-from .groups import GroupTable, left_cosets, stabilizer
 from .majorize import MajorizationVerdict, Relation, compare
 from .metrics import guesswork, variation_to_uniform
 
@@ -42,39 +42,33 @@ def _check_tuple(p: tuple[int, ...], degree: int) -> None:
 class ImageProjection:
     """A cipher distribution seen through the images of one plaintext tuple.
 
-    ``coset_masses[i]`` is the mass on the i-th left coset of the tuple's
-    stabilizer (canonical transversal order); ``coset_profiles[i]`` is that
-    coset's sub-distribution sorted decreasingly.
+    Blocks are keyed by the image tuple g(p), so each is a left coset of
+    Stab(p); they come in the order of their lexicographically minimal member.
+    ``coset_masses[i]`` is the i-th block's mass and ``coset_profiles[i]`` its
+    sub-distribution sorted decreasingly.
     """
 
     points: tuple[int, ...]
-    stabilizer: GroupTable
     coset_masses: tuple[Fraction, ...]
     coset_profiles: tuple[tuple[Fraction, ...], ...]
 
     def profile_sum(self) -> tuple[Fraction, ...]:
         """Componentwise sum of the sorted per-coset profiles (a probability
         vector; its guesswork is the conditional guesswork)."""
-        size = len(self.coset_profiles[0])
-        return tuple(
-            sum((prof[i] for prof in self.coset_profiles), _ZERO)
-            for i in range(size)
-        )
+        return tuple(sum(col, _ZERO) for col in zip(*self.coset_profiles))
 
 
 def project(x: CipherDist, p: tuple[int, ...]) -> ImageProjection:
-    """Project a distribution onto the left cosets of Stab(p)."""
-    group = x.group
-    _check_tuple(p, group.degree)
-    stab = stabilizer(group, p)
-    cosets = left_cosets(group, stab)
-    masses = []
-    profiles = []
-    for block in cosets.blocks:
-        sub = sorted((x.mass[i] for i in block), reverse=True)
-        masses.append(sum(sub, _ZERO))
-        profiles.append(tuple(sub))
-    return ImageProjection(tuple(p), stab, tuple(masses), tuple(profiles))
+    """Project a distribution onto the left cosets of Stab(p), i.e. group its
+    masses by image tuple g(p), visiting g in canonical order."""
+    _check_tuple(p, x.group.degree)
+    pt = tuple(p)
+    by_image: dict[tuple[int, ...], list[Fraction]] = {}
+    for g, mass in zip(x.group.elements, x.mass):
+        by_image.setdefault(g.apply(pt), []).append(mass)
+    profiles = tuple(tuple(sorted(b, reverse=True)) for b in by_image.values())
+    masses = tuple(sum(prof, _ZERO) for prof in profiles)
+    return ImageProjection(pt, masses, profiles)
 
 
 def ncpa_advantage(x: CipherDist, p: tuple[int, ...]) -> Fraction:
@@ -131,6 +125,29 @@ def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
     return total
 
 
+class Direction(str, enum.Enum):
+    """Which cipher of a (left, right) pair a comparison favors.
+
+    ``LEFT`` means every metric favors (or ties) the left cipher, ``EQUAL``
+    that everything ties, and ``MIXED`` that the metrics disagree.
+    """
+
+    LEFT = "left-no-less-secure"
+    RIGHT = "right-no-less-secure"
+    EQUAL = "equivalent"
+    MIXED = "mixed"
+
+    @classmethod
+    def of_metric(
+        cls, left: Fraction, right: Fraction, *, higher_is_safer: bool
+    ) -> Direction:
+        """The direction of one metric's pair of values."""
+        if left == right:
+            return cls.EQUAL
+        safer_left = left > right if higher_is_safer else left < right
+        return cls.LEFT if safer_left else cls.RIGHT
+
+
 @dataclass(frozen=True)
 class TupleComparison:
     """Both ciphers' q-query metrics for one plaintext tuple."""
@@ -158,64 +175,46 @@ class LevelComparison:
     min_guesswork_left_tuple: tuple[int, ...]
     min_guesswork_right: Fraction
     min_guesswork_right_tuple: tuple[int, ...]
-    verdict: str
+    verdict: Direction
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-q metric values and ordering verdicts for a pair of ciphers.
-
-    Verdict strings: ``left-no-less-secure`` means every metric at every
-    tuple favors (or ties) the left cipher; ``equivalent`` means everything
-    ties; ``mixed`` means the metrics disagree in direction.
-    """
+    """Per-q metric values and ordering verdicts for a pair of ciphers:
+    a ``Direction`` per level and one combined over all levels."""
 
     levels: tuple[LevelComparison, ...]
-    overall: str
+    overall: Direction
 
 
-_LEFT, _RIGHT, _EQUAL, _MIXED = (
-    "left-no-less-secure",
-    "right-no-less-secure",
-    "equivalent",
-    "mixed",
-)
-
-
-def _direction_of_verdict(v: MajorizationVerdict) -> str:
+def _direction_of_verdict(v: MajorizationVerdict) -> Direction:
     if v.relation is Relation.EQUAL_UP_TO_PERMUTATION:
-        return _EQUAL
+        return Direction.EQUAL
     if v.is_strictly_below:
-        return _LEFT
+        return Direction.LEFT
     if v.is_strictly_above:
-        return _RIGHT
-    return _MIXED
+        return Direction.RIGHT
+    return Direction.MIXED
 
 
-def _combine(directions: Sequence[str]) -> str:
-    seen = set(directions)
-    if _MIXED in seen or (_LEFT in seen and _RIGHT in seen):
-        return _MIXED
-    if _LEFT in seen:
-        return _LEFT
-    if _RIGHT in seen:
-        return _RIGHT
-    return _EQUAL
+def _combine(directions: Sequence[Direction]) -> Direction:
+    seen = set(directions) - {Direction.EQUAL}
+    if len(seen) == 1:
+        return seen.pop()
+    return Direction.MIXED if seen else Direction.EQUAL
 
 
-def _tuple_directions(tc: TupleComparison) -> list[str]:
-    adv = (
-        _EQUAL
-        if tc.advantage_left == tc.advantage_right
-        else (_LEFT if tc.advantage_left < tc.advantage_right else _RIGHT)
-    )
-    gw = (
-        _EQUAL
-        if tc.guesswork_left == tc.guesswork_right
-        else (_LEFT if tc.guesswork_left > tc.guesswork_right else _RIGHT)
-    )
-    return [adv, gw, _direction_of_verdict(tc.coset_verdict),
-            _direction_of_verdict(tc.profile_verdict)]
+def _tuple_directions(tc: TupleComparison) -> list[Direction]:
+    return [
+        Direction.of_metric(
+            tc.advantage_left, tc.advantage_right, higher_is_safer=False
+        ),
+        Direction.of_metric(
+            tc.guesswork_left, tc.guesswork_right, higher_is_safer=True
+        ),
+        _direction_of_verdict(tc.coset_verdict),
+        _direction_of_verdict(tc.profile_verdict),
+    ]
 
 
 def _compare_at_tuple(
@@ -223,14 +222,16 @@ def _compare_at_tuple(
 ) -> TupleComparison:
     proj_l = project(left, p)
     proj_r = project(right, p)
+    sum_l = proj_l.profile_sum()
+    sum_r = proj_r.profile_sum()
     return TupleComparison(
         points=tuple(p),
         advantage_left=variation_to_uniform(proj_l.coset_masses),
         advantage_right=variation_to_uniform(proj_r.coset_masses),
-        guesswork_left=guesswork(proj_l.profile_sum()),
-        guesswork_right=guesswork(proj_r.profile_sum()),
+        guesswork_left=guesswork(sum_l),
+        guesswork_right=guesswork(sum_r),
         coset_verdict=compare(proj_l.coset_masses, proj_r.coset_masses),
-        profile_verdict=compare(proj_l.profile_sum(), proj_r.profile_sum()),
+        profile_verdict=compare(sum_l, sum_r),
     )
 
 

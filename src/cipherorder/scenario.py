@@ -58,7 +58,9 @@ _GEN_RE = re.compile(r"gen\((.*)\)\Z", re.DOTALL)
 
 
 def parse_permutation(value: Any, *, where: str, degree: int | None = None) -> Permutation:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    # type() rather than isinstance() here and below: JSON true/false load as
+    # bool, a subclass of int
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
         raise ScenarioError(f"{where}: a permutation must be a list of ints")
     try:
         p = Permutation(tuple(value))
@@ -182,7 +184,7 @@ def parse_scenario(text: str, cap: int = DEFAULT_CAP) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
 
     m = raw.get("message_count")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ScenarioError("message_count: must be a positive integer")
     group = parse_group_spec(raw.get("group", f"sym({m})"), where="group", degree=m, cap=cap)
 
@@ -227,7 +229,7 @@ def parse_scenario(text: str, cap: int = DEFAULT_CAP) -> Scenario:
         compare.append((pair[0], pair[1]))
 
     q_max = raw.get("q_max", 1)
-    if not isinstance(q_max, int) or not 0 <= q_max <= m:
+    if type(q_max) is not int or not 0 <= q_max <= m:
         raise ScenarioError(f"q_max: must be an integer in 0..{m}")
 
     return Scenario(

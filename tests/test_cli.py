@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cipherorder.cli import MAJORIZE_EXIT_CODES, main
 from cipherorder.majorize import Relation
+
+DATA = Path(__file__).resolve().parent / "data"
 
 SCENARIO = {
     "message_count": 3,
@@ -129,6 +132,38 @@ def test_compare_per_tuple_csv(scenario_file, tmp_path, capsys):
     assert "p=(0,)" in out
 
 
+def test_compare_per_tuple_golden_output(scenario_file, tmp_path, capsys):
+    csv_path = tmp_path / "golden.csv"
+    argv = ["compare", scenario_file, "--q-max", "2", "--per-tuple"]
+    argv += ["--csv", str(csv_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / "compare_per_tuple.out").read_text()
+    assert csv_path.read_bytes() == (DATA / "compare_per_tuple.csv").read_bytes()
+
+
+MIXED_SCENARIO = {
+    "message_count": 3,
+    "group": "sym(3)",
+    "ciphers": {
+        "X": {"uniform_on": "gen([[0,2,1]])"},
+        "Y": {"uniform_on": "gen([[1,0,2]])"},
+    },
+    "compare": [["X", "Y"]],
+    "q_max": 2,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_mixed_comparison_exits_one(tmp_path, capsys, command):
+    path = write(tmp_path, "mixed.json", json.dumps(MIXED_SCENARIO))
+    assert main([command, path]) == 1
+    out = capsys.readouterr().out
+    assert "q=0: verdict=equivalent" in out
+    assert "q=1: verdict=mixed" in out
+    assert "q=2: verdict=equivalent" in out
+    assert "overall: mixed" in out
+
+
 def test_run_reports_parse_errors(tmp_path):
     path = write(tmp_path, "bad.json", "{")
     assert main(["run", path]) == 2
@@ -210,6 +245,13 @@ def test_experiment_failure_exit_code(capsys):
         ]
     )
     assert code == 1
+
+
+def test_boolean_permutation_entries_exit_two(capsys):
+    argv = ["expand", "--group", "sym(3)", "--subgroup", "gen([[1,0,2]])"]
+    argv += ["--pi", "[0,2,true]"]
+    assert main(argv) == 2
+    assert "--pi" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from cipherorder.groups import GroupSizeError, closure, stabilizer, symmetric_gr
 from cipherorder.perms import transposition
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 H01 = closure([transposition(3, 0, 1)])
@@ -178,3 +184,23 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "yaml")
+
+
+def test_reproduce_script_matches_golden_reports(tmp_path):
+    csv_path = tmp_path / "report.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "scripts/reproduce_experiments.py", "--csv", str(csv_path)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden_text = (DATA / "reproduce_report.txt").read_text()
+    assert proc.stdout == golden_text + f"wrote {csv_path}\n"
+    assert csv_path.read_bytes() == (DATA / "reproduce_report.csv").read_bytes()

@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from cipherorder.dist import convolve, deterministic, uniform_on, uniform_on_elements
-from cipherorder.groups import closure, stabilizer, symmetric_group
+from cipherorder.dist import (
+    CipherDist,
+    convolve,
+    deterministic,
+    uniform_on,
+    uniform_on_elements,
+)
+from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
 from cipherorder.majorize import compare
 from cipherorder.metrics import guesswork
-from cipherorder.perms import transposition
+from cipherorder.perms import Permutation, compose, transposition
 from cipherorder.qsecurity import (
     compare_q,
     conditional_guesswork,
@@ -18,7 +24,7 @@ from cipherorder.qsecurity import (
     project,
 )
 
-from helpers import random_dist
+from helpers import random_dist, random_dist_on, random_subgroup
 
 F = Fraction
 S3 = symmetric_group(3)
@@ -41,7 +47,7 @@ def test_project_uniform_spreads_evenly():
     x = uniform_on(S3, range(6))
     proj = project(x, (0,))
     assert proj.coset_masses == (F(1, 3),) * 3
-    assert proj.stabilizer.order == 2
+    assert len(proj.coset_masses) == 3
 
 
 def test_project_deterministic_hits_one_coset():
@@ -73,6 +79,27 @@ def test_project_conserves_mass_and_profiles():
                 assert flat == sorted(x.mass, reverse=True)
                 for prof in proj.coset_profiles:
                     assert list(prof) == sorted(prof, reverse=True)
+
+
+def all_tuples(m):
+    return [()] + [p for q in range(1, m + 1) for p in distinct_tuples(m, q)]
+
+
+def test_project_blocks_are_left_cosets_in_order():
+    rng = random.Random(17)
+    for group in (S3, S4):
+        for _ in range(3):
+            x = random_dist_on(rng, group, random_subgroup(rng, group))
+            for p in all_tuples(group.degree):
+                blocks = left_cosets(group, stabilizer(group, p)).blocks
+                proj = project(x, p)
+                assert proj.coset_masses == tuple(
+                    sum((x.mass[i] for i in block), F(0)) for block in blocks
+                )
+                assert proj.coset_profiles == tuple(
+                    tuple(sorted((x.mass[i] for i in block), reverse=True))
+                    for block in blocks
+                )
 
 
 def test_project_rejects_bad_tuples():
@@ -218,3 +245,43 @@ def test_product_ordering_consequence_randomized():
                     assert compare(pz.profile_sum(), py.profile_sum()).is_below
                     assert conditional_guesswork(z, p) >= conditional_guesswork(y, p)
                     assert ncpa_advantage(z, p) <= ncpa_advantage(y, p)
+
+
+def relabel(x: CipherDist, sigma: Permutation) -> CipherDist:
+    """x with the message space renamed by sigma: mass at sigma g sigma^-1."""
+    group = x.group
+    mass = [F(0)] * group.order
+    for g, m in zip(group.elements, x.mass):
+        mass[group.index(compose(compose(sigma, g), sigma.inverse()))] = m
+    return CipherDist(group, tuple(mass))
+
+
+def test_compare_q_invariant_under_relabelling():
+    rng = random.Random(23)
+    x = uniform_on_elements(S4, stabilizer(S4, (3,)))
+    y = deterministic(S4, transposition(4, 2, 3))
+    pairs = [(convolve(x, convolve(y, x)), convolve(x, x))]
+    for group in (S3, S4):
+        for _ in range(4):
+            pairs.append(
+                tuple(
+                    random_dist_on(rng, group, random_subgroup(rng, group))
+                    for _ in range(2)
+                )
+            )
+    seen = set()
+    for left, right in pairs:
+        group = left.group
+        base = compare_q(left, right, group.degree)
+        for _ in range(2):
+            sigma = rng.choice(group.elements)
+            moved = compare_q(relabel(left, sigma), relabel(right, sigma), group.degree)
+            assert moved.overall == base.overall
+            for a, b in zip(base.levels, moved.levels):
+                assert a.verdict == b.verdict
+                assert a.max_advantage_left == b.max_advantage_left
+                assert a.max_advantage_right == b.max_advantage_right
+                assert a.min_guesswork_left == b.min_guesswork_left
+                assert a.min_guesswork_right == b.min_guesswork_right
+        seen.update(level.verdict for level in base.levels)
+    assert len(seen) >= 3

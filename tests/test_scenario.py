@@ -139,6 +139,27 @@ def test_malformed_json_and_fields():
         )
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("message_count",), True, "message_count"),
+        (("q_max",), True, "q_max"),
+        (("q_max",), False, "q_max"),
+        (("ciphers", "Y", "deterministic"), [True, False, 2], r"Y\.deterministic"),
+        (("ciphers", "W", "coset", "rep"), [0, 2, True], r"W\.coset\.rep"),
+        (("ciphers", "X", "uniform_on"), "gen([[true,0,2]])", r"X\.uniform_on\.gen\[0\]"),
+    ],
+)
+def test_json_booleans_are_not_ints(path, value, field):
+    raw = json.loads(EXPANSION)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ScenarioError, match=field):
+        parse_scenario(json.dumps(raw))
+
+
 def test_deterministic_outside_group_rejected():
     bad = {
         "message_count": 3,
