@@ -1,8 +1,8 @@
 """Exact probability distributions over a permutation group and their products.
 
 The distribution of a product cipher Z = XY (Y applied to the plaintext
-first) is the convolution z(g) = sum_h x(g h^-1) y(h).  All masses are
-``fractions.Fraction``, so support sizes, majorization verdicts and tie
+first) is the convolution z(g) = sum over a*b = g of x(a) y(b).  All masses
+are ``fractions.Fraction``, so support sizes, majorization verdicts and tie
 cases are decided exactly.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groups import DoubleCoset, GroupTable, double_coset
-from .perms import Permutation, compose
+from .perms import Permutation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,10 +44,6 @@ class CipherDist:
 
     def support_size(self) -> int:
         return sum(1 for m in self.mass if m > 0)
-
-
-def support(x: CipherDist) -> tuple[int, ...]:
-    return x.support()
 
 
 def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
@@ -83,20 +79,18 @@ def _require_same_group(x: CipherDist, y: CipherDist) -> GroupTable:
 
 
 def convolve(x: CipherDist, y: CipherDist) -> CipherDist:
-    """Distribution of the product cipher XY: z(g) = sum_h x(g h^-1) y(h).
+    """Distribution of the product cipher XY: z(g) = sum_{a*b=g} x(a) y(b).
 
-    Direct double loop over the full index and the support of the right
-    factor; correctness over asymptotics at desk scale.
+    Sparse double loop over the support pairs supp(x) x supp(y), adding
+    x(a) y(b) at the index of a*b; no inverses are needed.
     """
     group = _require_same_group(x, y)
-    supp_y = [(group.element(h).inverse(), y.mass[h]) for h in y.support()]
-    out = []
-    for i in range(group.order):
-        g = group.element(i)
-        acc = _ZERO
-        for h_inv, yh in supp_y:
-            acc += x.mass[group.index(compose(g, h_inv))] * yh
-        out.append(acc)
+    supp_y = [(j, y.mass[j]) for j in y.support()]
+    out = [_ZERO] * group.order
+    for i in x.support():
+        xi = x.mass[i]
+        for j, yj in supp_y:
+            out[group.mul(i, j)] += xi * yj
     return CipherDist(group, tuple(out))
 
 
@@ -112,13 +106,7 @@ def convolve_all(dists: Sequence[CipherDist]) -> CipherDist:
 
 def translate(g: Permutation, x: CipherDist) -> CipherDist:
     """Left translation g . x: the mass of f becomes the prior mass of g^-1 f."""
-    group = x.group
-    if g not in group:
-        raise ValueError("translation element is not in the group")
-    out = [_ZERO] * group.order
-    for i in x.support():
-        out[group.index(compose(g, group.element(i)))] = x.mass[i]
-    return CipherDist(group, tuple(out))
+    return convolve(deterministic(x.group, g), x)
 
 
 @dataclass(frozen=True)
@@ -185,18 +173,19 @@ def triple_decompose(
             block_of[i] = b
 
     z_shift = translate(pi, z)
-    shift_support = [(group.element(i), z_shift.mass[i]) for i in z_shift.support()]
+    shift_support = [(f, z_shift.mass[f]) for f in z_shift.support()]
 
+    p = group.index(pi)
     weights = [_ZERO] * dc.m
     part_mass = [[_ZERO] * group.order for _ in range(dc.m)]
-    for a in h:
-        w = x.mass_of(a)
-        b = block_of[group.index(compose(a, pi))]
+    for a in group.indices_of(h):
+        w = x.mass[a]
+        b = block_of[group.mul(a, p)]
         weights[b] += w
         if w == 0:
             continue
         for f, mass in shift_support:
-            part_mass[b][group.index(compose(a, f))] += w * mass
+            part_mass[b][group.mul(a, f)] += w * mass
 
     parts: list[CipherDist] = []
     for b in range(dc.m):

@@ -25,12 +25,15 @@ class GroupSizeError(ValueError):
 class GroupTable:
     """A finite permutation group with canonically ordered, indexed elements.
 
-    ``elements`` is sorted lexicographically on image tuples; ``index`` maps a
-    permutation back to its position.  Instances are immutable and safe to
-    share across threads.
+    ``elements`` is sorted lexicographically on image tuples and ``words``
+    holds those elements' own image tuples.  ``index`` maps a permutation
+    back to its position and ``mul`` multiplies two positions; every index
+    a table takes or returns refers to this table's ordering, never to a
+    subgroup's or a supergroup's.  Instances are immutable and safe to share
+    across threads.
     """
 
-    __slots__ = ("degree", "elements", "_index")
+    __slots__ = ("degree", "elements", "words", "_index")
 
     def __init__(self, elements: Iterable[Permutation], *, _trusted: bool = False):
         elems = sorted(set(elements))
@@ -41,16 +44,17 @@ class GroupTable:
             raise ValueError("all elements must share one degree")
         self.degree = degree
         self.elements: tuple[Permutation, ...] = tuple(elems)
-        self._index: dict[Permutation, int] = {e: i for i, e in enumerate(elems)}
+        self.words: tuple[tuple[int, ...], ...] = tuple(e.images for e in elems)
+        self._index: dict[tuple[int, ...], int] = {w: i for i, w in enumerate(self.words)}
         if not _trusted:
             self._check_group()
 
     def _check_group(self) -> None:
-        if identity(self.degree) not in self._index:
+        if identity(self.degree) not in self:
             raise ValueError("element set does not contain the identity")
         for a in self.elements:
             for b in self.elements:
-                if compose(a, b) not in self._index:
+                if compose(a, b) not in self:
                     raise ValueError(
                         f"element set not closed under composition: {a} * {b}"
                     )
@@ -61,7 +65,7 @@ class GroupTable:
 
     @property
     def identity(self) -> Permutation:
-        return self.elements[self._index[identity(self.degree)]]
+        return self.elements[self.index(identity(self.degree))]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -70,16 +74,21 @@ class GroupTable:
         return iter(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._index
+        return p.images in self._index
 
     def index(self, p: Permutation) -> int:
         try:
-            return self._index[p]
+            return self._index[p.images]
         except KeyError:
             raise ValueError(f"{p} is not an element of this group") from None
 
     def element(self, i: int) -> Permutation:
         return self.elements[i]
+
+    def mul(self, i: int, j: int) -> int:
+        """Index of ``element(i) * element(j)``; ``element(j)`` acts first."""
+        a = self.words[i]
+        return self._index[tuple([a[k] for k in self.words[j]])]
 
     def indices_of(self, elems: Iterable[Permutation]) -> tuple[int, ...]:
         """Sorted positions of the given elements in this group's ordering."""
@@ -195,13 +204,14 @@ def _require_subgroup(parent: GroupTable, sub: GroupTable, name: str) -> None:
 def left_cosets(parent: GroupTable, subgroup: GroupTable) -> CosetDecomposition:
     """Partition of ``parent`` into left cosets g*subgroup."""
     _require_subgroup(parent, subgroup, "subgroup")
+    sub = parent.indices_of(subgroup)
     assigned = [False] * parent.order
     transversal: list[Permutation] = []
     blocks: list[tuple[int, ...]] = []
     for i, g in enumerate(parent.elements):
         if assigned[i]:
             continue
-        block = sorted(parent.index(compose(g, h)) for h in subgroup)
+        block = sorted(parent.mul(i, h) for h in sub)
         for j in block:
             assigned[j] = True
         transversal.append(g)
@@ -233,26 +243,16 @@ def double_coset(
     pi: Permutation,
     k: GroupTable,
 ) -> DoubleCoset:
-    """Enumerate H*pi*K and its left-coset blocks lambda_i * K."""
+    """Enumerate H*pi*K as the left cosets of K that meet H*pi."""
     _require_subgroup(parent, h, "H")
     _require_subgroup(parent, k, "K")
     if pi not in parent:
         raise ValueError("pi is not an element of the parent group")
-    members: set[int] = set()
-    for a in h:
-        a_pi = compose(a, pi)
-        for b in k:
-            members.add(parent.index(compose(a_pi, b)))
-    elements = tuple(sorted(members))
-    assigned: set[int] = set()
-    reps: list[Permutation] = []
-    blocks: list[tuple[int, ...]] = []
-    for i in elements:
-        if i in assigned:
-            continue
-        lam = parent.element(i)
-        block = tuple(sorted(parent.index(compose(lam, b)) for b in k))
-        assigned.update(block)
-        reps.append(lam)
-        blocks.append(block)
-    return DoubleCoset(parent, elements, tuple(reps), tuple(blocks))
+    p = parent.index(pi)
+    h_pi = {parent.mul(a, p) for a in parent.indices_of(h)}
+    dec = left_cosets(parent, k)
+    kept = [b for b, block in enumerate(dec.blocks) if not h_pi.isdisjoint(block)]
+    blocks = tuple(dec.blocks[b] for b in kept)
+    elements = tuple(sorted(i for block in blocks for i in block))
+    reps = tuple(dec.transversal[b] for b in kept)
+    return DoubleCoset(parent, elements, reps, blocks)

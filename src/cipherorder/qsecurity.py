@@ -64,8 +64,8 @@ def project(x: CipherDist, p: tuple[int, ...]) -> ImageProjection:
     _check_tuple(p, x.group.degree)
     pt = tuple(p)
     by_image: dict[tuple[int, ...], list[Fraction]] = {}
-    for g, mass in zip(x.group.elements, x.mass):
-        by_image.setdefault(g.apply(pt), []).append(mass)
+    for w, mass in zip(x.group.words, x.mass):
+        by_image.setdefault(tuple([w[q] for q in pt]), []).append(mass)
     profiles = tuple(tuple(sorted(b, reverse=True)) for b in by_image.values())
     masses = tuple(sum(prof, _ZERO) for prof in profiles)
     return ImageProjection(pt, masses, profiles)

@@ -100,6 +100,13 @@ def test_convolve_matches_oracle_randomized():
             x = random_dist(rng, group)
             y = random_dist(rng, group)
             assert convolve(x, y) == convolve_oracle(x, y)
+    # sparse factors, alone and against a full-support one
+    for _ in range(20):
+        x = random_dist_on(rng, S4, random_subgroup(rng, S4))
+        y = random_dist_on(rng, S4, random_subgroup(rng, S4))
+        dense = random_dist(rng, S4)
+        for left, right in ((x, y), (x, dense), (dense, y)):
+            assert convolve(left, right) == convolve_oracle(left, right)
 
 
 def test_convolution_associative_randomized():
@@ -142,6 +149,13 @@ def test_translate_examples():
     expected = {S3.index(g * h) for h in H01}
     assert set(shifted.support()) == expected
     assert sorted(translate(g, x).mass) == sorted(x.mass)
+    # the definition, on S4: translate(g, x) puts the mass of f at g * f
+    rng = random.Random(8)
+    for _ in range(5):
+        g = rng.choice(S4.elements)
+        x = random_dist_on(rng, S4, random_subgroup(rng, S4))
+        moved = translate(g, x)
+        assert all(moved.mass_of(g * f) == x.mass_of(f) for f in S4)
 
 
 def test_translate_requires_membership():

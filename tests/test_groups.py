@@ -70,6 +70,24 @@ def test_group_table_rejects_non_closed_sets():
         GroupTable([transposition(3, 0, 1)])  # no identity
 
 
+def test_mul_matches_compose():
+    # seed 5 draws cyclic, two-generator, stabilizer and trivial subgroups
+    rng = random.Random(5)
+    for table in [S4] + [random_subgroup(rng, S4) for _ in range(6)]:
+        for i, a in enumerate(table.elements):
+            for j, b in enumerate(table.elements):
+                assert table.mul(i, j) == table.index(compose(a, b))
+
+
+def test_index_rejects_non_members():
+    c4 = closure([cycle(4, (0, 1, 2, 3))])
+    outsiders = ((S4, identity(3)), (S3, identity(4)), (c4, transposition(4, 0, 1)))
+    for table, p in outsiders:
+        assert p not in table
+        with pytest.raises(ValueError):
+            table.index(p)
+
+
 def test_symmetric_group_is_lexicographic():
     assert S3.element(0) == identity(3)
     assert list(S3.elements) == sorted(S3.elements)
@@ -177,5 +195,8 @@ def test_randomized_lagrange_and_orbit_stabilizer():
             assert len(dc.elements) == dc.m * k.order
             in_blocks = sorted(i for block in dc.left_blocks for i in block)
             assert in_blocks == list(dc.elements)
+            oracle = {group.index(compose(compose(a, pi), b)) for a in h for b in k}
+            assert set(dc.elements) == oracle
             for rep, block in zip(dc.left_reps, dc.left_blocks):
                 assert group.index(rep) == block[0]
+                assert block == tuple(sorted(group.index(compose(rep, b)) for b in k))
