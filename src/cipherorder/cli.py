@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .dist import CipherDist, convolve_all
+from .dist import convolve_all
 from .experiments import (
     ExperimentResult,
     emit_report,
@@ -24,7 +24,7 @@ from .experiments import (
     run_expand,
     run_general_collapse,
 )
-from .majorize import Relation, birkhoff_decompose, compare, hlp_witness
+from .majorize import Relation, compare, hlp_witness
 from .metrics import (
     MetricValue,
     alpha_guesswork,
@@ -48,8 +48,6 @@ USAGE_ERROR = 2
 MAJORIZE_EXIT_CODES = {
     Relation.EQUAL_UP_TO_PERMUTATION: 0,
     Relation.STRICTLY_BELOW: 3,
-    Relation.BELOW: 4,
-    Relation.ABOVE: 5,
     Relation.STRICTLY_ABOVE: 6,
     Relation.INCOMPARABLE: 7,
     Relation.NORM_MISMATCH: 8,

@@ -88,12 +88,8 @@ class _Rows:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -155,7 +151,8 @@ def run_expand(
         return ExperimentResult("expand", rows.done(), degenerate=True)
 
     _assumption_row(rows, group, subgroup, pi)
-    dc = double_coset(group, subgroup, pi, subgroup)
+    decomp = triple_decompose(x, pi, x, subgroup, subgroup)
+    dc = decomp.double_coset
     rows.exact("support_T", len(dc.elements), t.support_size())
     rows.exact("support_D", subgroup.order, d.support_size())
     rows.exact("support_expansion", True, t.support_size() > d.support_size())
@@ -167,7 +164,6 @@ def run_expand(
     )
 
     stab = intersection(subgroup, conjugate_subgroup(pi, subgroup))
-    decomp = triple_decompose(x, pi, x, subgroup, subgroup)
     rows.exact("decomposition_m", subgroup.order // stab.order, decomp.m)
     rows.exact("decomposition_reconstructs_T", True, decomp.mixture() == t)
     rows.exact(

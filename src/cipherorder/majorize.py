@@ -4,7 +4,10 @@
 decreasing rearrangements.  ``hlp_witness`` makes the Hardy-Littlewood-Polya
 direction constructive: an explicit doubly-stochastic matrix D with D y = x,
 built from at most n-1 T-transforms.  ``birkhoff_decompose`` writes any
-doubly-stochastic matrix as a convex sum of permutation matrices.
+doubly-stochastic matrix as a convex sum of permutation matrices by greedy
+bottleneck extraction; every step lowers the dimension of the smallest face
+of the Birkhoff polytope holding the remainder, so there are at most
+(n-1)^2 + 1 terms (Marshall-Olkin-Arnold, ch. 2).
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 class Relation(enum.Enum):
     EQUAL_UP_TO_PERMUTATION = "equal-up-to-permutation"
     STRICTLY_BELOW = "strictly-below"
-    BELOW = "below"
     STRICTLY_ABOVE = "strictly-above"
-    ABOVE = "above"
     INCOMPARABLE = "incomparable"
     NORM_MISMATCH = "norm-mismatch"
 
@@ -37,9 +38,7 @@ class Relation(enum.Enum):
 _MIRROR = {
     Relation.EQUAL_UP_TO_PERMUTATION: Relation.EQUAL_UP_TO_PERMUTATION,
     Relation.STRICTLY_BELOW: Relation.STRICTLY_ABOVE,
-    Relation.BELOW: Relation.ABOVE,
     Relation.STRICTLY_ABOVE: Relation.STRICTLY_BELOW,
-    Relation.ABOVE: Relation.BELOW,
     Relation.INCOMPARABLE: Relation.INCOMPARABLE,
     Relation.NORM_MISMATCH: Relation.NORM_MISMATCH,
 }
@@ -63,7 +62,6 @@ class MajorizationVerdict:
         return self.relation in (
             Relation.EQUAL_UP_TO_PERMUTATION,
             Relation.STRICTLY_BELOW,
-            Relation.BELOW,
         )
 
     @property
@@ -71,7 +69,6 @@ class MajorizationVerdict:
         return self.relation in (
             Relation.EQUAL_UP_TO_PERMUTATION,
             Relation.STRICTLY_ABOVE,
-            Relation.ABOVE,
         )
 
     @property
@@ -109,13 +106,12 @@ def _coerce(xs: Sequence) -> list[Fraction]:
     return out
 
 
-def _padded_sorted(x: Sequence, y: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+def _padded(x: Sequence, y: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Both vectors as exact nonnegative entries, the shorter zero-padded."""
     xs, ys = _coerce(x), _coerce(y)
     n = max(len(xs), len(ys))
     xs += [_ZERO] * (n - len(xs))
     ys += [_ZERO] * (n - len(ys))
-    xs.sort(reverse=True)
-    ys.sort(reverse=True)
     return xs, ys
 
 
@@ -124,9 +120,12 @@ def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
 
     Shorter input is zero-padded; appended zeros never change a probability
     vector's majorization status.  With exact arithmetic the verdict is
-    always one of the precise relations (plain BELOW/ABOVE never arise).
+    always one of the precise relations: equal up to permutation, strictly
+    below, strictly above, incomparable, or a norm mismatch.
     """
-    xs, ys = _padded_sorted(x, y)
+    xs, ys = _padded(x, y)
+    xs.sort(reverse=True)
+    ys.sort(reverse=True)
     if sum(xs) != sum(ys):
         return MajorizationVerdict(Relation.NORM_MISMATCH)
     first_above = first_below = None
@@ -203,11 +202,8 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     verdict = compare(x, y)
     if not verdict.is_below:
         raise ValueError(f"x is not majorized by y: {verdict.relation.value}")
-    xs, ys = _coerce(x), _coerce(y)
-    n = max(len(xs), len(ys))
-    xs += [_ZERO] * (n - len(xs))
-    ys += [_ZERO] * (n - len(ys))
-
+    xs, ys = _padded(x, y)
+    n = len(xs)
     order_x = _argsort_desc(xs)
     order_y = _argsort_desc(ys)
     x_sorted = [xs[i] for i in order_x]
@@ -296,74 +292,21 @@ def _bottleneck_matching(rows: list[list[Fraction]], n: int) -> list[int]:
     raise ValueError("matrix support admits no perfect matching")
 
 
-def _nullspace_vector(columns: list[list[Fraction]]) -> list[Fraction] | None:
-    """A nonzero rational c with sum_i c_i * columns[i] = 0, else None."""
-    t = len(columns)
-    dim = len(columns[0])
-    rows = [[columns[i][d] for i in range(t)] for d in range(dim)]
-    pivots: list[tuple[int, int]] = []
-    rank_row = 0
-    for col in range(t):
-        pivot = next(
-            (r for r in range(rank_row, dim) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[rank_row], rows[pivot] = rows[pivot], rows[rank_row]
-        lead = rows[rank_row][col]
-        rows[rank_row] = [e / lead for e in rows[rank_row]]
-        for r in range(dim):
-            if r != rank_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank_row])]
-        pivots.append((rank_row, col))
-        rank_row += 1
-        if rank_row == dim:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(t) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    c = [_ZERO] * t
-    c[free] = _ONE
-    for r, col in pivots:
-        c[col] = -rows[r][free]
-    return c
-
-
-def _caratheodory_reduce(
-    terms: list[tuple[Fraction, Permutation]], n: int
-) -> list[tuple[Fraction, Permutation]]:
-    """Shrink a convex combination of permutations to at most (n-1)^2 + 1 terms."""
-    bound = (n - 1) ** 2 + 1
-    while len(terms) > bound:
-        columns = []
-        for _, p in terms:
-            flat = [_ZERO] * (n * n)
-            for i, img in enumerate(p.images):
-                flat[i * n + img] = _ONE
-            columns.append(flat)
-        c = _nullspace_vector(columns)
-        if c is None:
-            break
-        if all(ci <= 0 for ci in c):
-            c = [-ci for ci in c]
-        theta = min(w / ci for (w, _), ci in zip(terms, c) if ci > 0)
-        terms = [
-            (w - theta * ci, p)
-            for (w, p), ci in zip(terms, c)
-            if w - theta * ci > 0
-        ]
-    return terms
-
-
 def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
     """Write a doubly-stochastic matrix as a convex sum of permutations.
 
     Greedy extraction along a maximum-bottleneck perfect matching (columns
-    tried smallest index first), followed by an exact Caratheodory reduction
-    so the term count never exceeds (n-1)^2 + 1.  The weighted sum of
-    permutation matrices reproduces the input exactly.
+    tried smallest index first).  The weighted sum of permutation matrices
+    reproduces the input exactly.
+
+    There are at most (n-1)^2 + 1 terms.  The smallest face of the Birkhoff
+    polytope B_n holding the remainder is the set of doubly-stochastic
+    matrices supported inside the remainder's support.  Each step subtracts
+    w*P with w the smallest matched entry, which zeroes at least one
+    positive entry and creates none, so the next remainder lies on a proper
+    face of that face and the face dimension strictly drops.  It starts at
+    most dim B_n = (n-1)^2, and a 0-dimensional face is one permutation
+    matrix, extracted in one last step.
     """
     n = _check_doubly_stochastic(matrix)
     rows = [list(row) for row in matrix]
@@ -376,7 +319,8 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
         for i in range(n):
             rows[i][assignment[i]] -= weight
         remaining -= weight
-    return _caratheodory_reduce(terms, n)
+    assert len(terms) <= (n - 1) ** 2 + 1
+    return terms
 
 
 def permutation_matrix(p: Permutation) -> Matrix:

@@ -73,14 +73,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(tuple(a.images[j] for j in b.images))
 
 
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
-
-
-def apply(a: Permutation, p: Points) -> Points:
-    return a.apply(p)
-
-
 def identity(m: int) -> Permutation:
     return Permutation(tuple(range(m)))
 

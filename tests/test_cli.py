@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,9 @@ def test_majorize_verdict_exit_codes(tmp_path, capsys):
     assert main(["majorize", u, u]) == 0
     bad = write(tmp_path, "bad.vec", "1/2 1/2 1/2")
     assert main(["majorize", u, bad]) == MAJORIZE_EXIT_CODES[Relation.NORM_MISMATCH]
+    assert set(MAJORIZE_EXIT_CODES) == set(Relation)
+    codes = list(MAJORIZE_EXIT_CODES.values())
+    assert len(set(codes)) == len(codes)
 
 
 def test_majorize_incomparable_witness_prefixes(tmp_path, capsys):
@@ -55,13 +59,39 @@ def test_majorize_incomparable_witness_prefixes(tmp_path, capsys):
     assert "witness_prefix_below\t2" in out
 
 
+def _witness_lines(out):
+    matrix, terms = [], []
+    for line in out.splitlines():
+        kind, _, rest = line.partition("\t")
+        if kind == "matrix":
+            matrix.append([Fraction(e) for e in rest.split()])
+        elif kind == "birkhoff":
+            weight, perm = rest.split("\t")
+            terms.append((Fraction(weight), json.loads(perm)))
+    return matrix, terms
+
+
 def test_majorize_witness_output(tmp_path, capsys):
-    u = write(tmp_path, "u.vec", "1/2 1/2")
-    x = write(tmp_path, "x.vec", "1 0")
-    assert main(["majorize", u, x, "--witness"]) != 2
-    out = capsys.readouterr().out
-    assert "matrix\t1/2 1/2" in out
-    assert "birkhoff\t1/2" in out
+    cases = [("1/2 1/2", "1 0"), ("1/4 1/3 1/6 1/4", "0 1/2 1/3 1/6"), ("1/5 " * 5, "1")]
+    for x_vec, y_vec in cases:
+        x = write(tmp_path, "x.vec", x_vec)
+        y = write(tmp_path, "y.vec", y_vec)
+        code = main(["majorize", x, y, "--witness"])
+        assert code == MAJORIZE_EXIT_CODES[Relation.STRICTLY_BELOW]
+        out = capsys.readouterr().out
+        if x_vec == "1/2 1/2":
+            assert "matrix\t1/2 1/2" in out
+            assert "birkhoff\t1/2" in out
+        matrix, terms = _witness_lines(out)
+        n = len(x_vec.split())
+        assert len(matrix) == n
+        assert 1 <= len(terms) <= (n - 1) ** 2 + 1
+        rebuilt = [[Fraction(0)] * n for _ in range(n)]
+        for weight, perm in terms:
+            assert weight > 0
+            for i, j in enumerate(perm):
+                rebuilt[i][j] += weight
+        assert rebuilt == matrix
 
 
 def test_majorize_missing_file(tmp_path, capsys):

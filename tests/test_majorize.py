@@ -203,31 +203,13 @@ def test_birkhoff_rejects_bad_matrices():
         birkhoff_decompose(((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))))
 
 
-def test_caratheodory_reduction_enforces_term_bound():
-    from itertools import permutations as words
-
-    from cipherorder.majorize import _caratheodory_reduce
-
-    # all six 3x3 permutations at weight 1/6: 6 terms > (3-1)^2 + 1 = 5
-    terms = [(F(1, 6), Permutation(w)) for w in words(range(3))]
-    reduced = _caratheodory_reduce(list(terms), 3)
-    assert len(reduced) <= 5
-    assert sum(w for w, _ in reduced) == 1
-    assert all(w > 0 for w, _ in reduced)
-    recon = [[F(0)] * 3 for _ in range(3)]
-    for w, p in reduced:
-        for i in range(3):
-            recon[i][p.images[i]] += w
-    assert all(e == F(1, 3) for row in recon for e in row)
-
-
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_birkhoff_random_doubly_stochastic(seed):
     # random convex mixtures of permutation matrices are doubly stochastic
     rng = random.Random(seed)
-    n = rng.randint(2, 5)
-    weights = rational_prob_vector(rng, rng.randint(1, 6), allow_zeros=False)
+    n = rng.randint(2, 6)
+    weights = rational_prob_vector(rng, rng.randint(1, 40), allow_zeros=False)
     d = [[F(0)] * n for _ in range(n)]
     for w in weights:
         images = list(range(n))

@@ -8,7 +8,6 @@ from cipherorder.perms import (
     cycle,
     from_cycles,
     identity,
-    inverse,
     transposition,
 )
 
@@ -32,8 +31,8 @@ def test_identity_law():
 
 def test_inverse_law():
     g = Permutation((2, 0, 1))
-    assert compose(g, inverse(g)) == identity(3)
-    assert compose(inverse(g), g) == identity(3)
+    assert compose(g, g.inverse()) == identity(3)
+    assert compose(g.inverse(), g) == identity(3)
 
 
 def test_compose_right_factor_acts_first():
@@ -51,14 +50,14 @@ def test_compose_degree_mismatch():
 
 def test_inverse_of_transposition_is_itself():
     t = transposition(3, 0, 1)
-    assert inverse(t) == t
-    assert inverse(identity(3)) == identity(3)
+    assert t.inverse() == t
+    assert identity(3).inverse() == identity(3)
 
 
 def test_inverse_of_three_cycle():
     fwd = cycle(3, (0, 1, 2))  # 0->1->2->0
     back = cycle(3, (0, 2, 1))  # 0->2->1->0
-    assert inverse(fwd) == back
+    assert fwd.inverse() == back
 
 
 def test_apply_points_and_tuples():
