@@ -132,9 +132,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _comparison_csv(
-    report: ComparisonReport, left: str, right: str, per_tuple: bool
-) -> list[list[str]]:
+def _comparison_csv(report: ComparisonReport, per_tuple: bool) -> list[list[str]]:
     rows = [["q", "tuple", "metric", "value_left", "value_right", "verdict"]]
 
     def fmt_tuple(points: tuple[int, ...]) -> str:
@@ -171,9 +169,7 @@ def _comparison_csv(
                         "ncpa_advantage",
                         str(tc.advantage_left),
                         str(tc.advantage_right),
-                        Direction.of_metric(
-                            tc.advantage_left, tc.advantage_right, higher_is_safer=False
-                        ).value,
+                        tc.advantage_direction.value,
                     ]
                 )
                 rows.append(
@@ -183,9 +179,7 @@ def _comparison_csv(
                         "conditional_guesswork",
                         str(tc.guesswork_left),
                         str(tc.guesswork_right),
-                        Direction.of_metric(
-                            tc.guesswork_left, tc.guesswork_right, higher_is_safer=True
-                        ).value,
+                        tc.guesswork_direction.value,
                     ]
                 )
                 rows.append(
@@ -243,42 +237,28 @@ def _write_csv(rows: list[list[str]], path: str) -> None:
         writer.writerows(rows)
 
 
-def _run_comparisons(
-    scenario: Scenario, q_max: int, per_tuple: bool, csv_path: str | None
-) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args.scenario)
+    if not scenario.compare:
+        raise ScenarioError("scenario declares no comparison pairs")
+    q_max = scenario.q_max if args.q_max is None else args.q_max
     all_rows: list[list[str]] = []
     coherent = True
     for left, right in scenario.compare:
         report = compare_q(
             scenario.distribution(left), scenario.distribution(right), q_max
         )
-        _print_comparison(report, left, right, per_tuple)
+        _print_comparison(report, left, right, args.per_tuple)
         if report.overall is Direction.MIXED:
             coherent = False
-        rows = _comparison_csv(report, left, right, per_tuple)
+        rows = _comparison_csv(report, args.per_tuple)
         if not all_rows:
             all_rows.extend(rows)
         else:
             all_rows.extend(rows[1:])
-    if csv_path is not None:
-        _write_csv(all_rows, csv_path)
+    if args.csv is not None:
+        _write_csv(all_rows, args.csv)
     return 0 if coherent else 1
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    if not scenario.compare:
-        print("scenario declares no comparison pairs")
-        return 0
-    return _run_comparisons(scenario, scenario.q_max, args.per_tuple, args.csv)
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    if not scenario.compare:
-        raise ScenarioError("scenario declares no comparison pairs")
-    q_max = scenario.q_max if args.q_max is None else args.q_max
-    return _run_comparisons(scenario, q_max, args.per_tuple, args.csv)
 
 
 def _experiment_setup(args: argparse.Namespace):
@@ -341,13 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run a scenario's comparison pairs")
-    p.add_argument("scenario")
-    p.add_argument("--csv", help="write comparison rows as CSV")
-    p.add_argument("--per-tuple", action="store_true")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("compare", help="compare a scenario's pairs up to q-max")
+    p = sub.add_parser(
+        "compare", aliases=["run"], help="compare a scenario's pairs up to q-max"
+    )
     p.add_argument("scenario")
     p.add_argument("--q-max", type=int, default=None)
     p.add_argument("--per-tuple", action="store_true")

@@ -25,8 +25,6 @@ from .dist import (
     uniform_on_elements,
 )
 from .groups import (
-    DEFAULT_CAP,
-    GroupSizeError,
     GroupTable,
     conjugate_subgroup,
     double_coset,
@@ -279,7 +277,7 @@ def run_general_collapse(
     return ExperimentResult("general-collapse", rows.done())
 
 
-def run_amplifier(n: int, cap: int = DEFAULT_CAP) -> ExperimentResult:
+def run_amplifier(n: int) -> ExperimentResult:
     """Extreme expansion at security parameter n: X and Z uniform over the
     permutations of {0..2^n} fixing the extra point 2^n, Y the +1 rotation.
     D = XZ always fixes the extra point (a perfect distinguisher) while
@@ -287,11 +285,7 @@ def run_amplifier(n: int, cap: int = DEFAULT_CAP) -> ExperimentResult:
     if n < 1:
         raise ValueError("security parameter must be at least 1")
     space = 2**n + 1
-    if factorial(space) > cap:
-        raise GroupSizeError(
-            f"sym({space}) has {factorial(space)} elements, over cap {cap}"
-        )
-    group = symmetric_group(space, cap=cap)
+    group = symmetric_group(space)
     fixed_point = space - 1
     sub = stabilizer(group, (fixed_point,))
     pi = Permutation(tuple((i + 1) % space for i in range(space)))

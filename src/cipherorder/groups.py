@@ -2,15 +2,15 @@
 
 Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
-element-for-element identical.  Everything is desk scale by design; the
-element-count cap guards against accidentally generating something huge.
+element-for-element identical.  Everything is desk scale by design: this
+module alone decides the element-count cap, ``DEFAULT_CAP``, and refuses a
+larger group before enumerating it where its order is known in advance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _words
-from math import factorial
 from typing import Iterable, Iterator
 
 from .perms import Permutation, compose, identity
@@ -20,6 +20,10 @@ DEFAULT_CAP = 50_000
 
 class GroupSizeError(ValueError):
     """Raised when a group would exceed the enumeration cap."""
+
+
+def _over_cap(name: str, cap: int = DEFAULT_CAP) -> GroupSizeError:
+    return GroupSizeError(f"{name} has more than {cap} elements, the group-size cap")
 
 
 class GroupTable:
@@ -131,21 +135,28 @@ def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupT
                     seen.add(c)
                     new.append(c)
                     if len(seen) > cap:
-                        raise GroupSizeError(
-                            f"generated group exceeds cap of {cap} elements"
-                        )
+                        raise _over_cap("generated group", cap)
         frontier = new
     return GroupTable(seen, _trusted=True)
 
 
-def symmetric_group(m: int, cap: int = DEFAULT_CAP) -> GroupTable:
-    if factorial(m) > cap:
-        raise GroupSizeError(f"sym({m}) has {factorial(m)} elements, over cap {cap}")
+def symmetric_group(m: int) -> GroupTable:
+    """All permutations of {0..m-1}; m! is checked against the cap by a
+    running product that stops as soon as it passes the cap."""
+    if m < 0:
+        raise ValueError(f"sym({m}): degree must be nonnegative")
+    order = 1
+    for k in range(2, m + 1):
+        order *= k
+        if order > DEFAULT_CAP:
+            raise _over_cap(f"sym({m})")
     return GroupTable((Permutation(w) for w in _words(range(m))), _trusted=True)
 
 
 def cyclic_group(m: int) -> GroupTable:
     """The cyclic group generated by the +1 (mod m) rotation of {0..m-1}."""
+    if m > DEFAULT_CAP:
+        raise _over_cap(f"cyclic({m})")
     rot = Permutation(tuple((i + 1) % m for i in range(m)))
     return closure([rot])
 

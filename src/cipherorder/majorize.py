@@ -65,13 +65,6 @@ class MajorizationVerdict:
         )
 
     @property
-    def is_above(self) -> bool:
-        return self.relation in (
-            Relation.EQUAL_UP_TO_PERMUTATION,
-            Relation.STRICTLY_ABOVE,
-        )
-
-    @property
     def is_strictly_below(self) -> bool:
         return self.relation is Relation.STRICTLY_BELOW
 
@@ -91,7 +84,9 @@ class MajorizationVerdict:
         return MajorizationVerdict(_MIRROR[self.relation], witness)
 
 
-def _coerce(xs: Sequence) -> list[Fraction]:
+def nonnegative_rationals(xs: Sequence) -> list[Fraction]:
+    """The entries as ``Fraction``s: TypeError for a non-rational entry,
+    ValueError for a negative one."""
     out = []
     for v in xs:
         if isinstance(v, Fraction):
@@ -108,7 +103,7 @@ def _coerce(xs: Sequence) -> list[Fraction]:
 
 def _padded(x: Sequence, y: Sequence) -> tuple[list[Fraction], list[Fraction]]:
     """Both vectors as exact nonnegative entries, the shorter zero-padded."""
-    xs, ys = _coerce(x), _coerce(y)
+    xs, ys = nonnegative_rationals(x), nonnegative_rationals(y)
     n = max(len(xs), len(ys))
     xs += [_ZERO] * (n - len(xs))
     ys += [_ZERO] * (n - len(ys))
@@ -227,7 +222,7 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
 
 
 def apply_matrix(matrix: Matrix, v: Sequence) -> Vector:
-    vs = _coerce(v)
+    vs = nonnegative_rationals(v)
     if len(vs) != len(matrix):
         raise ValueError(f"vector length {len(vs)} != matrix size {len(matrix)}")
     return tuple(sum(row[j] * vs[j] for j in range(len(vs))) for row in matrix)

@@ -17,6 +17,8 @@ from typing import Sequence, Union
 
 import mpmath
 
+from .majorize import nonnegative_rationals
+
 _ZERO = Fraction(0)
 
 ENTROPY_TOLERANCE = 1e-12
@@ -38,17 +40,7 @@ class MetricValue:
 def _coerce_prob(
     xs: Sequence, *, allow_unnormalized: bool = False
 ) -> list[Fraction]:
-    out = []
-    for v in xs:
-        if isinstance(v, Fraction):
-            f = v
-        elif isinstance(v, (int, str, Rational)):
-            f = Fraction(v)
-        else:
-            raise TypeError(f"expected exact rational entries, got {type(v).__name__}")
-        if f < 0:
-            raise ValueError(f"probabilities must be nonnegative, got {f}")
-        out.append(f)
+    out = nonnegative_rationals(xs)
     total = sum(out, _ZERO)
     if allow_unnormalized:
         if not 0 < total <= 1:

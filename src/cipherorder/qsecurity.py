@@ -160,6 +160,20 @@ class TupleComparison:
     coset_verdict: MajorizationVerdict
     profile_verdict: MajorizationVerdict
 
+    @property
+    def advantage_direction(self) -> Direction:
+        """Which side the NCPA advantages favor (lower is safer)."""
+        return Direction.of_metric(
+            self.advantage_left, self.advantage_right, higher_is_safer=False
+        )
+
+    @property
+    def guesswork_direction(self) -> Direction:
+        """Which side the conditional guessworks favor (higher is safer)."""
+        return Direction.of_metric(
+            self.guesswork_left, self.guesswork_right, higher_is_safer=True
+        )
+
 
 @dataclass(frozen=True)
 class LevelComparison:
@@ -206,12 +220,8 @@ def _combine(directions: Sequence[Direction]) -> Direction:
 
 def _tuple_directions(tc: TupleComparison) -> list[Direction]:
     return [
-        Direction.of_metric(
-            tc.advantage_left, tc.advantage_right, higher_is_safer=False
-        ),
-        Direction.of_metric(
-            tc.guesswork_left, tc.guesswork_right, higher_is_safer=True
-        ),
+        tc.advantage_direction,
+        tc.guesswork_direction,
         _direction_of_verdict(tc.coset_verdict),
         _direction_of_verdict(tc.profile_verdict),
     ]
@@ -246,8 +256,8 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     if left.group != right.group:
         raise ValueError("ciphers live on different groups")
     m = left.group.degree
-    if q_max > m:
-        raise ValueError(f"q_max {q_max} exceeds message count {m}")
+    if not 0 <= q_max <= m:
+        raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
     levels = []
     for q in range(q_max + 1):
         tuples = [()] if q == 0 else distinct_tuples(m, q)

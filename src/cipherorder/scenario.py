@@ -36,7 +36,6 @@ from .dist import (
     uniform_on_elements,
 )
 from .groups import (
-    DEFAULT_CAP,
     GroupSizeError,
     GroupTable,
     closure,
@@ -73,23 +72,21 @@ def parse_permutation(value: Any, *, where: str, degree: int | None = None) -> P
     return p
 
 
-def parse_group_spec(
-    spec: str, *, where: str, degree: int | None = None, cap: int = DEFAULT_CAP
-) -> GroupTable:
+def parse_group_spec(spec: str, *, where: str, degree: int | None = None) -> GroupTable:
     """Build a group from a named-constructor string."""
     if not isinstance(spec, str):
         raise ScenarioError(f"{where}: group spec must be a string")
     text = spec.strip()
     try:
         if m := _SYM_RE.match(text):
-            group = symmetric_group(int(m.group(1)), cap=cap)
+            group = symmetric_group(int(m.group(1)))
         elif m := _CYCLIC_RE.match(text):
             group = cyclic_group(int(m.group(1)))
         elif m := _STAB_RE.match(text):
             size, fixed = int(m.group(1)), int(m.group(2))
             if fixed >= size:
                 raise ScenarioError(f"{where}: stab point {fixed} out of range")
-            group = stabilizer(symmetric_group(size, cap=cap), (fixed,))
+            group = stabilizer(symmetric_group(size), (fixed,))
         elif m := _GEN_RE.match(text):
             try:
                 words = json.loads(m.group(1))
@@ -101,7 +98,7 @@ def parse_group_spec(
                 parse_permutation(w, where=f"{where}.gen[{i}]", degree=degree)
                 for i, w in enumerate(words)
             ]
-            group = closure(gens, cap=cap)
+            group = closure(gens)
         else:
             raise ScenarioError(f"{where}: unrecognized group spec {spec!r}")
     except GroupSizeError as exc:
@@ -174,7 +171,7 @@ class Scenario:
         raise ScenarioError(f"unknown cipher or product {name!r}")
 
 
-def parse_scenario(text: str, cap: int = DEFAULT_CAP) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text, resolving every named object."""
     try:
         raw = json.loads(text)
@@ -186,7 +183,7 @@ def parse_scenario(text: str, cap: int = DEFAULT_CAP) -> Scenario:
     m = raw.get("message_count")
     if type(m) is not int or m < 1:
         raise ScenarioError("message_count: must be a positive integer")
-    group = parse_group_spec(raw.get("group", f"sym({m})"), where="group", degree=m, cap=cap)
+    group = parse_group_spec(raw.get("group", f"sym({m})"), where="group", degree=m)
 
     ciphers: dict[str, CipherDist] = {}
     raw_ciphers = raw.get("ciphers", {})

@@ -162,9 +162,10 @@ def test_compare_per_tuple_csv(scenario_file, tmp_path, capsys):
     assert "p=(0,)" in out
 
 
-def test_compare_per_tuple_golden_output(scenario_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_compare_per_tuple_golden_output(scenario_file, tmp_path, capsys, command):
     csv_path = tmp_path / "golden.csv"
-    argv = ["compare", scenario_file, "--q-max", "2", "--per-tuple"]
+    argv = [command, scenario_file, "--q-max", "2", "--per-tuple"]
     argv += ["--csv", str(csv_path)]
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / "compare_per_tuple.out").read_text()
@@ -197,6 +198,19 @@ def test_mixed_comparison_exits_one(tmp_path, capsys, command):
 def test_run_reports_parse_errors(tmp_path):
     path = write(tmp_path, "bad.json", "{")
     assert main(["run", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_scenario_without_pairs_exits_two(tmp_path, capsys, command):
+    no_pairs = {key: v for key, v in SCENARIO.items() if key != "compare"}
+    path = write(tmp_path, "no_pairs.json", json.dumps(no_pairs))
+    assert main([command, path]) == 2
+    assert "no comparison pairs" in capsys.readouterr().err
+
+
+def test_negative_q_max_exits_two(scenario_file, capsys):
+    assert main(["compare", scenario_file, "--q-max", "-1"]) == 2
+    assert "q_max -1" in capsys.readouterr().err
 
 
 def test_expand_subcommand(capsys, tmp_path):
@@ -256,7 +270,11 @@ def test_general_collapse_subcommand(capsys):
 def test_amplifier_subcommand(capsys):
     assert main(["amplifier", "--n", "1"]) == 0
     assert "== amplifier: PASS" in capsys.readouterr().out
-    assert main(["amplifier", "--n", "3"]) == 2
+    for n in (3, 12, 20):
+        assert main(["amplifier", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert f"sym({2**n + 1}) has more than 50000 elements" in err
+        assert "cap" in err
 
 
 def test_experiment_failure_exit_code(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cipherorder.groups import (
+    DEFAULT_CAP,
     GroupSizeError,
     GroupTable,
     closure,
@@ -39,6 +40,21 @@ def test_closure_matches_brute_force_oracle():
 def test_closure_cap_exceeded():
     with pytest.raises(GroupSizeError):
         closure([cycle(5, (0, 1, 2, 3, 4))], cap=4)
+
+
+@pytest.mark.parametrize(
+    "build, m, name",
+    [
+        (symmetric_group, 9, "sym(9)"),
+        (symmetric_group, 200_000, "sym(200000)"),
+        (cyclic_group, DEFAULT_CAP + 1, f"cyclic({DEFAULT_CAP + 1})"),
+    ],
+)
+def test_known_order_over_cap_fails_before_enumerating(build, m, name):
+    expected = f"{name} has more than {DEFAULT_CAP} elements, the group-size cap"
+    with pytest.raises(GroupSizeError) as info:
+        build(m)
+    assert str(info.value) == expected
 
 
 def test_closure_empty_generators():

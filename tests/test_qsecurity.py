@@ -199,8 +199,9 @@ def test_compare_q_deterministic():
 def test_compare_q_rejects_mismatches():
     with pytest.raises(ValueError):
         compare_q(uniform_on(S3, range(6)), uniform_on(S4, range(24)), 1)
-    with pytest.raises(ValueError):
-        compare_q(uniform_on(S3, range(6)), uniform_on(S3, range(6)), 4)
+    for q_max in (4, -1):
+        with pytest.raises(ValueError):
+            compare_q(uniform_on(S3, range(6)), uniform_on(S3, range(6)), q_max)
 
 
 def test_compare_q_expansion_pair_directions():

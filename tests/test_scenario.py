@@ -102,9 +102,10 @@ def test_degree_mismatch():
 
 
 def test_group_cap_exceeded():
-    bad = {"message_count": 9, "group": "sym(9)", "ciphers": {}}
-    with pytest.raises(ScenarioError, match="cap"):
-        parse_scenario(json.dumps(bad))
+    for m in (9, 2000):
+        bad = {"message_count": m, "group": f"sym({m})", "ciphers": {}}
+        with pytest.raises(ScenarioError, match=rf"^group: sym\({m}\) .*cap"):
+            parse_scenario(json.dumps(bad))
 
 
 def test_subgroup_outside_group():
