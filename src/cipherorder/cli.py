@@ -57,11 +57,14 @@ MAJORIZE_EXIT_CODES = {
 def _read_vector(path: str) -> list[Fraction]:
     try:
         tokens = Path(path).read_text().split()
-        return [Fraction(tok) for tok in tokens]
+        entries = [Fraction(tok) for tok in tokens]
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    if not entries:
+        raise ScenarioError(f"{path}: no entries")
+    return entries
 
 
 def _load_scenario(path: str) -> Scenario:

@@ -29,6 +29,7 @@ from .groups import (
     conjugate_subgroup,
     double_coset,
     intersection,
+    over_cap,
     stabilizer,
     symmetric_group,
 )
@@ -284,6 +285,9 @@ def run_amplifier(n: int) -> ExperimentResult:
     T = XYZ spreads over (2^n+1)! - (2^n)! permutations."""
     if n < 1:
         raise ValueError("security parameter must be at least 1")
+    if n >= 64:
+        # a degree past 2^64 is far over the cap: name it, do not form it
+        raise over_cap(f"sym(2^{n}+1)")
     space = 2**n + 1
     group = symmetric_group(space)
     fixed_point = space - 1

@@ -22,7 +22,9 @@ class GroupSizeError(ValueError):
     """Raised when a group would exceed the enumeration cap."""
 
 
-def _over_cap(name: str, cap: int = DEFAULT_CAP) -> GroupSizeError:
+def over_cap(name: str, cap: int = DEFAULT_CAP) -> GroupSizeError:
+    """The refusal of the group called ``name``: it has more than ``cap``
+    elements."""
     return GroupSizeError(f"{name} has more than {cap} elements, the group-size cap")
 
 
@@ -135,7 +137,7 @@ def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupT
                     seen.add(c)
                     new.append(c)
                     if len(seen) > cap:
-                        raise _over_cap("generated group", cap)
+                        raise over_cap("generated group", cap)
         frontier = new
     return GroupTable(seen, _trusted=True)
 
@@ -149,14 +151,14 @@ def symmetric_group(m: int) -> GroupTable:
     for k in range(2, m + 1):
         order *= k
         if order > DEFAULT_CAP:
-            raise _over_cap(f"sym({m})")
+            raise over_cap(f"sym({m})")
     return GroupTable((Permutation(w) for w in _words(range(m))), _trusted=True)
 
 
 def cyclic_group(m: int) -> GroupTable:
     """The cyclic group generated by the +1 (mod m) rotation of {0..m-1}."""
     if m > DEFAULT_CAP:
-        raise _over_cap(f"cyclic({m})")
+        raise over_cap(f"cyclic({m})")
     rot = Permutation(tuple((i + 1) % m for i in range(m)))
     return closure([rot])
 

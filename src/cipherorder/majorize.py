@@ -35,15 +35,6 @@ class Relation(enum.Enum):
     NORM_MISMATCH = "norm-mismatch"
 
 
-_MIRROR = {
-    Relation.EQUAL_UP_TO_PERMUTATION: Relation.EQUAL_UP_TO_PERMUTATION,
-    Relation.STRICTLY_BELOW: Relation.STRICTLY_ABOVE,
-    Relation.STRICTLY_ABOVE: Relation.STRICTLY_BELOW,
-    Relation.INCOMPARABLE: Relation.INCOMPARABLE,
-    Relation.NORM_MISMATCH: Relation.NORM_MISMATCH,
-}
-
-
 @dataclass(frozen=True)
 class MajorizationVerdict:
     """Outcome of comparing two vectors under majorization.
@@ -75,13 +66,6 @@ class MajorizationVerdict:
     @property
     def is_equal(self) -> bool:
         return self.relation is Relation.EQUAL_UP_TO_PERMUTATION
-
-    def mirror(self) -> "MajorizationVerdict":
-        """The verdict of the swapped comparison (above/below sides trade)."""
-        witness = self.witness_prefix
-        if witness is not None:
-            witness = (witness[1], witness[0])
-        return MajorizationVerdict(_MIRROR[self.relation], witness)
 
 
 def nonnegative_rationals(xs: Sequence) -> list[Fraction]:

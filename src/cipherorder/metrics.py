@@ -3,19 +3,18 @@
 Guesswork, marginal guesswork, alpha-guesswork and variation distance to
 uniformity are exact rationals; Shannon and Renyi entropy are floats (base-2)
 with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
-fall back to the exact Renyi power sum (integer orders) or the mpmath
-evaluation at configurable precision.
+fall back to the exact Renyi power sum (integer orders) or the ``decimal``
+evaluation of Shannon entropy at configurable precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
-
-import mpmath
 
 from .majorize import nonnegative_rationals
 
@@ -37,15 +36,10 @@ class MetricValue:
         return f"{self.kind}\t{self.value:.12g}"
 
 
-def _coerce_prob(
-    xs: Sequence, *, allow_unnormalized: bool = False
-) -> list[Fraction]:
+def _coerce_prob(xs: Sequence) -> list[Fraction]:
     out = nonnegative_rationals(xs)
     total = sum(out, _ZERO)
-    if allow_unnormalized:
-        if not 0 < total <= 1:
-            raise ValueError(f"sub-distribution mass must lie in (0, 1], got {total}")
-    elif total != 1:
+    if total != 1:
         raise ValueError(f"probability vector must sum to 1, got {total}")
     return out
 
@@ -97,22 +91,23 @@ def renyi_power_sum(x: Sequence, order: int) -> Fraction:
     return sum((f ** order for f in xs if f > 0), _ZERO)
 
 
-def shannon_entropy_mp(x: Sequence, dps: int = 60) -> mpmath.mpf:
+def shannon_entropy_mp(x: Sequence, dps: int = 60) -> Decimal:
     """Shannon entropy in bits at ``dps`` decimal digits, for tie-breaking."""
     xs = _coerce_prob(x)
-    with mpmath.workdps(dps):
-        ln2 = mpmath.log(2)
-        total = mpmath.mpf(0)
+    with localcontext() as ctx:
+        ctx.prec = dps
+        ln2 = Decimal(2).ln()
+        total = Decimal(0)
         for f in xs:
             if f > 0:
-                v = mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
-                total -= v * mpmath.log(v) / ln2
+                v = Decimal(f.numerator) / Decimal(f.denominator)
+                total -= v * v.ln() / ln2
         return total
 
 
-def guesswork(x: Sequence, *, allow_unnormalized: bool = False) -> Fraction:
+def guesswork(x: Sequence) -> Fraction:
     """Expected guesses under the optimal (decreasing-probability) order."""
-    xs = _desc(_coerce_prob(x, allow_unnormalized=allow_unnormalized))
+    xs = _desc(_coerce_prob(x))
     return sum((Fraction(i) * f for i, f in enumerate(xs, start=1)), _ZERO)
 
 
@@ -152,18 +147,11 @@ def alpha_guesswork(x: Sequence, alpha) -> Fraction:
 def variation_to_uniform(x: Sequence) -> Fraction:
     """Variation distance to the uniform distribution on the same n points.
 
-    Evaluated by the decreasing-rearrangement closed form with cutoff
-    k = #{i : x_[i] >= 1/n} and cross-checked against the increasing-
-    rearrangement form; the two always agree exactly.
+    The decreasing-rearrangement closed form: with cutoff
+    k = #{i : x_[i] >= 1/n}, the distance is x_[1] + ... + x_[k] - k/n.
     """
     xs = _coerce_prob(x)
-    n = len(xs)
-    share = Fraction(1, n)
+    share = Fraction(1, len(xs))
     desc = _desc(xs)
     k = sum(1 for f in desc if f >= share)
-    from_top = sum(desc[:k], _ZERO) - k * share
-    asc = desc[::-1]
-    q = sum(1 for f in asc if f <= share)
-    from_bottom = q * share - sum(asc[:q], _ZERO)
-    assert from_top == from_bottom
-    return from_top
+    return sum(desc[:k], _ZERO) - k * share

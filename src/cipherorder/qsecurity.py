@@ -129,7 +129,9 @@ class Direction(str, enum.Enum):
     """Which cipher of a (left, right) pair a comparison favors.
 
     ``LEFT`` means every metric favors (or ties) the left cipher, ``EQUAL``
-    that everything ties, and ``MIXED`` that the metrics disagree.
+    that everything ties, and ``MIXED`` that the metrics disagree.  A level
+    verdict combines each tuple's two majorization verdicts; the metric
+    directions follow from those by Schur monotonicity (see ``compare_q``).
     """
 
     LEFT = "left-no-less-secure"
@@ -218,15 +220,6 @@ def _combine(directions: Sequence[Direction]) -> Direction:
     return Direction.MIXED if seen else Direction.EQUAL
 
 
-def _tuple_directions(tc: TupleComparison) -> list[Direction]:
-    return [
-        tc.advantage_direction,
-        tc.guesswork_direction,
-        _direction_of_verdict(tc.coset_verdict),
-        _direction_of_verdict(tc.profile_verdict),
-    ]
-
-
 def _compare_at_tuple(
     left: CipherDist, right: CipherDist, p: tuple[int, ...]
 ) -> TupleComparison:
@@ -252,6 +245,12 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     tuple, whose coset space is a single point and whose profile sum is the
     raw distribution.  Results are deterministic: tuples are visited in
     lexicographic order and aggregates keep the first extremal witness.
+
+    A level's verdict combines every tuple's coset-mass and profile-sum
+    majorization verdicts.  Advantage is Schur-convex and guesswork
+    Schur-concave, so their per-tuple directions are ``EQUAL`` or agree
+    with those verdicts, so the level verdict does not read them (the tests
+    check that agreement).
     """
     if left.group != right.group:
         raise ValueError("ciphers live on different groups")
@@ -266,7 +265,13 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
         max_adv_r = max(rows, key=lambda r: r.advantage_right)
         min_gw_l = min(rows, key=lambda r: r.guesswork_left)
         min_gw_r = min(rows, key=lambda r: r.guesswork_right)
-        verdict = _combine([d for row in rows for d in _tuple_directions(row)])
+        verdict = _combine(
+            [
+                _direction_of_verdict(v)
+                for row in rows
+                for v in (row.coset_verdict, row.profile_verdict)
+            ]
+        )
         levels.append(
             LevelComparison(
                 q=q,

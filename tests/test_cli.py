@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +99,27 @@ def test_majorize_witness_output(tmp_path, capsys):
 
 def test_majorize_missing_file(tmp_path, capsys):
     assert main(["majorize", str(tmp_path / "none.vec"), str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("witness", [[], ["--witness"]])
+@pytest.mark.parametrize("position", ["x", "y", "both"])
+def test_majorize_empty_vector_file_exits_two(tmp_path, capsys, position, witness):
+    empty = write(tmp_path, "e.vec", "\n")
+    u = write(tmp_path, "u.vec", "1/2 1/2")
+    x = u if position == "y" else empty
+    y = u if position == "x" else empty
+    assert main(["majorize", x, y, *witness]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{empty}: no entries" in captured.err
+
+
+def test_metrics_empty_vector_file_exits_two(tmp_path, capsys):
+    empty = write(tmp_path, "e.vec", "")
+    assert main(["metrics", empty]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{empty}: no entries" in captured.err
 
 
 def test_metrics_output(tmp_path, capsys):
@@ -275,6 +299,12 @@ def test_amplifier_subcommand(capsys):
         err = capsys.readouterr().err
         assert f"sym({2**n + 1}) has more than 50000 elements" in err
         assert "cap" in err
+    for n in (20_000, 10**9):
+        start = time.perf_counter()
+        assert main(["amplifier", "--n", str(n)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"sym(2^{n}+1) has more than 50000 elements, the group-size cap" in err
 
 
 def test_experiment_failure_exit_code(capsys):
@@ -306,3 +336,27 @@ def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["expand", "--group", "sym(3)"]) == 2
     assert main(["not-a-command"]) == 2
+
+
+IMPORT_PROBE = """\
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import cipherorder.cli
+added = set(sys.modules) - before
+print(json.dumps(sorted(
+    {name.split(".")[0] for name in added}
+    - {"cipherorder", *sys.stdlib_module_names}
+)))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_PROBE, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == []

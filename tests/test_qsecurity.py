@@ -11,10 +11,11 @@ from cipherorder.dist import (
     uniform_on_elements,
 )
 from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
-from cipherorder.majorize import compare
+from cipherorder.majorize import Relation, compare
 from cipherorder.metrics import guesswork
 from cipherorder.perms import Permutation, compose, transposition
 from cipherorder.qsecurity import (
+    Direction,
     compare_q,
     conditional_guesswork,
     conditional_guesswork_oracle,
@@ -246,6 +247,59 @@ def test_product_ordering_consequence_randomized():
                     assert compare(pz.profile_sum(), py.profile_sum()).is_below
                     assert conditional_guesswork(z, p) >= conditional_guesswork(y, p)
                     assert ncpa_advantage(z, p) <= ncpa_advantage(y, p)
+
+
+MAJORIZATION_DIRECTION = {
+    Relation.EQUAL_UP_TO_PERMUTATION: Direction.EQUAL,
+    Relation.STRICTLY_BELOW: Direction.LEFT,
+    Relation.STRICTLY_ABOVE: Direction.RIGHT,
+    Relation.INCOMPARABLE: Direction.MIXED,
+    Relation.NORM_MISMATCH: Direction.MIXED,
+}
+
+
+def four_direction_verdict(level) -> Direction:
+    """The level rule that also counts both metric directions: every tuple's
+    advantage, guesswork, coset and profile directions, combined."""
+    seen = set()
+    for tc in level.tuples:
+        seen |= {
+            tc.advantage_direction,
+            tc.guesswork_direction,
+            MAJORIZATION_DIRECTION[tc.coset_verdict.relation],
+            MAJORIZATION_DIRECTION[tc.profile_verdict.relation],
+        }
+    seen.discard(Direction.EQUAL)
+    if len(seen) == 1:
+        return seen.pop()
+    return Direction.MIXED if seen else Direction.EQUAL
+
+
+def test_metric_directions_follow_majorization_verdicts():
+    rng = random.Random(61)
+    verdicts = set()
+    for group in (S3, S4):
+        for _ in range(6):
+            x = random_dist(rng, group)
+            y = random_dist(rng, group)
+            xs, ys = (
+                random_dist_on(rng, group, random_subgroup(rng, group))
+                for _ in range(2)
+            )
+            g, h = (deterministic(group, rng.choice(group.elements)) for _ in range(2))
+            for left, right in ((x, y), (xs, ys), (convolve(x, y), y), (g, h)):
+                report = compare_q(left, right, group.degree)
+                for level in report.levels:
+                    for tc in level.tuples:
+                        coset = MAJORIZATION_DIRECTION[tc.coset_verdict.relation]
+                        profile = MAJORIZATION_DIRECTION[tc.profile_verdict.relation]
+                        if coset is not Direction.MIXED:
+                            assert tc.advantage_direction in (Direction.EQUAL, coset)
+                        if profile is not Direction.MIXED:
+                            assert tc.guesswork_direction in (Direction.EQUAL, profile)
+                    assert level.verdict is four_direction_verdict(level)
+                    verdicts.add(level.verdict)
+    assert verdicts == set(Direction)
 
 
 def relabel(x: CipherDist, sigma: Permutation) -> CipherDist:
