@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .dist import convolve_all
 from .experiments import (
-    ExperimentResult,
     emit_report,
+    format_value,
     run_amplifier,
     run_collapse,
     run_expand,
@@ -26,7 +26,6 @@ from .experiments import (
 )
 from .majorize import Relation, compare, hlp_witness
 from .metrics import (
-    MetricValue,
     alpha_guesswork,
     guesswork,
     marginal_guesswork,
@@ -54,17 +53,35 @@ MAJORIZE_EXIT_CODES = {
 }
 
 
+# largest decimal exponent a rational token may carry: Python's default
+# limit on the digits of an int string.  Fraction("1e999999999") would build
+# 10**999999999 before any other check could refuse it.
+MAX_EXPONENT = 4300
+
+
+def _rational(token: str, where: str) -> Fraction:
+    """Parse one rational token (``3/4``, ``0.25``, ``1e-3``) for ``where``,
+    a file or a flag, refusing exponents beyond ``MAX_EXPONENT``."""
+    exponent = token.strip().lower().partition("e")[2]
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (
+        len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT
+    ):
+        raise ScenarioError(f"{where}: {token!r} has an exponent beyond {MAX_EXPONENT}")
+    try:
+        return Fraction(token)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def _read_vector(path: str) -> list[Fraction]:
     try:
         tokens = Path(path).read_text().split()
-        entries = [Fraction(tok) for tok in tokens]
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    if not entries:
+    if not tokens:
         raise ScenarioError(f"{path}: no entries")
-    return entries
+    return [_rational(tok, path) for tok in tokens]
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -99,25 +116,19 @@ def _cmd_majorize(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     x = _read_vector(args.dist)
     values = [
-        MetricValue("shannon_entropy_bits", shannon_entropy(x)),
-        MetricValue("guesswork", guesswork(x)),
-        MetricValue("variation_to_uniform", variation_to_uniform(x)),
+        ("shannon_entropy_bits", shannon_entropy(x)),
+        ("guesswork", guesswork(x)),
+        ("variation_to_uniform", variation_to_uniform(x)),
     ]
     if args.renyi is not None:
-        order = Fraction(args.renyi)
-        values.append(
-            MetricValue(f"renyi_entropy_bits[{order}]", renyi_entropy(x, order))
-        )
+        order = _rational(args.renyi, "--renyi")
+        values.append((f"renyi_entropy_bits[{order}]", renyi_entropy(x, order)))
     if args.alpha is not None:
-        alpha = Fraction(args.alpha)
-        values.append(
-            MetricValue(f"marginal_guesswork[{alpha}]", marginal_guesswork(x, alpha))
-        )
-        values.append(
-            MetricValue(f"alpha_guesswork[{alpha}]", alpha_guesswork(x, alpha))
-        )
-    for value in values:
-        print(value)
+        alpha = _rational(args.alpha, "--alpha")
+        values.append((f"marginal_guesswork[{alpha}]", marginal_guesswork(x, alpha)))
+        values.append((f"alpha_guesswork[{alpha}]", alpha_guesswork(x, alpha)))
+    for name, value in values:
+        print(f"{name}\t{format_value(value)}")
     return 0
 
 
@@ -136,75 +147,30 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def _comparison_csv(report: ComparisonReport, per_tuple: bool) -> list[list[str]]:
-    rows = [["q", "tuple", "metric", "value_left", "value_right", "verdict"]]
-
-    def fmt_tuple(points: tuple[int, ...]) -> str:
-        return "(" + ",".join(map(str, points)) + ")"
-
-    for level in report.levels:
-        q = str(level.q)
-        rows.append(
-            [
-                q,
-                fmt_tuple(level.max_advantage_left_tuple),
-                "max_ncpa_advantage",
-                str(level.max_advantage_left),
-                str(level.max_advantage_right),
-                level.verdict.value,
+    """CSV rows of one report: two per level, then four per tuple if
+    ``per_tuple``; each is q, tuple, metric, value_left, value_right, verdict."""
+    rows = []
+    for lv in report.levels:
+        table = [
+            ("max_ncpa_advantage", lv.max_advantage_left_tuple,
+             lv.max_advantage_left, lv.max_advantage_right, lv.verdict),
+            ("min_conditional_guesswork", lv.min_guesswork_left_tuple,
+             lv.min_guesswork_left, lv.min_guesswork_right, lv.verdict),
+        ]
+        for tc in lv.tuples if per_tuple else ():
+            table += [
+                ("ncpa_advantage", tc.points, tc.advantage_left,
+                 tc.advantage_right, tc.advantage_direction),
+                ("conditional_guesswork", tc.points, tc.guesswork_left,
+                 tc.guesswork_right, tc.guesswork_direction),
+                ("coset_majorization", tc.points, "", "",
+                 tc.coset_verdict.relation),
+                ("profile_majorization", tc.points, "", "",
+                 tc.profile_verdict.relation),
             ]
-        )
-        rows.append(
-            [
-                q,
-                fmt_tuple(level.min_guesswork_left_tuple),
-                "min_conditional_guesswork",
-                str(level.min_guesswork_left),
-                str(level.min_guesswork_right),
-                level.verdict.value,
-            ]
-        )
-        if per_tuple:
-            for tc in level.tuples:
-                rows.append(
-                    [
-                        q,
-                        fmt_tuple(tc.points),
-                        "ncpa_advantage",
-                        str(tc.advantage_left),
-                        str(tc.advantage_right),
-                        tc.advantage_direction.value,
-                    ]
-                )
-                rows.append(
-                    [
-                        q,
-                        fmt_tuple(tc.points),
-                        "conditional_guesswork",
-                        str(tc.guesswork_left),
-                        str(tc.guesswork_right),
-                        tc.guesswork_direction.value,
-                    ]
-                )
-                rows.append(
-                    [
-                        q,
-                        fmt_tuple(tc.points),
-                        "coset_majorization",
-                        "",
-                        "",
-                        tc.coset_verdict.relation.value,
-                    ]
-                )
-                rows.append(
-                    [
-                        q,
-                        fmt_tuple(tc.points),
-                        "profile_majorization",
-                        "",
-                        "",
-                        tc.profile_verdict.relation.value,
-                    ]
-                )
+        for metric, points, left, right, verdict in table:
+            tup = "(" + ",".join(map(str, points)) + ")"
+            rows.append([str(lv.q), tup, metric, str(left), str(right), verdict.value])
     return rows
 
 
@@ -234,18 +200,12 @@ def _print_comparison(
     print(f"overall: {report.overall.value}")
 
 
-def _write_csv(rows: list[list[str]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     if not scenario.compare:
         raise ScenarioError("scenario declares no comparison pairs")
     q_max = scenario.q_max if args.q_max is None else args.q_max
-    all_rows: list[list[str]] = []
+    rows = [["q", "tuple", "metric", "value_left", "value_right", "verdict"]]
     coherent = True
     for left, right in scenario.compare:
         report = compare_q(
@@ -254,13 +214,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _print_comparison(report, left, right, args.per_tuple)
         if report.overall is Direction.MIXED:
             coherent = False
-        rows = _comparison_csv(report, args.per_tuple)
-        if not all_rows:
-            all_rows.extend(rows)
-        else:
-            all_rows.extend(rows[1:])
+        rows += _comparison_csv(report, args.per_tuple)
     if args.csv is not None:
-        _write_csv(all_rows, args.csv)
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0 if coherent else 1
 
 
@@ -277,34 +234,12 @@ def _experiment_setup(args: argparse.Namespace):
     return group, subgroup, pi
 
 
-def _finish_experiment(result: ExperimentResult, args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    result = args.run(args)
     print(emit_report([result], "text"), end="")
     if args.csv:
         Path(args.csv).write_text(emit_report([result], "csv"))
     return 0 if result.passed else 1
-
-
-def _cmd_expand(args: argparse.Namespace) -> int:
-    group, subgroup, pi = _experiment_setup(args)
-    result = run_expand(group, subgroup, pi, q_max=args.q_max)
-    return _finish_experiment(result, args)
-
-
-def _cmd_collapse(args: argparse.Namespace) -> int:
-    group, subgroup, pi = _experiment_setup(args)
-    result = run_collapse(group, subgroup, pi, q_max=args.q_max)
-    return _finish_experiment(result, args)
-
-
-def _cmd_general_collapse(args: argparse.Namespace) -> int:
-    group, subgroup, pi = _experiment_setup(args)
-    result = run_general_collapse(group, subgroup, pi, args.rounds)
-    return _finish_experiment(result, args)
-
-
-def _cmd_amplifier(args: argparse.Namespace) -> int:
-    result = run_amplifier(args.n)
-    return _finish_experiment(result, args)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -353,22 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="threefold expansion experiment")
     _add_experiment_flags(p)
     p.add_argument("--q-max", type=int, default=None)
-    p.set_defaults(func=_cmd_expand)
+    p.set_defaults(
+        func=_cmd_experiment,
+        run=lambda a: run_expand(*_experiment_setup(a), q_max=a.q_max),
+    )
 
     p = sub.add_parser("collapse", help="threefold collapse experiment")
     _add_experiment_flags(p)
     p.add_argument("--q-max", type=int, default=None)
-    p.set_defaults(func=_cmd_collapse)
+    p.set_defaults(
+        func=_cmd_experiment,
+        run=lambda a: run_collapse(*_experiment_setup(a), q_max=a.q_max),
+    )
 
     p = sub.add_parser("general-collapse", help="r-round collapse experiment")
     _add_experiment_flags(p)
     p.add_argument("--rounds", type=int, required=True)
-    p.set_defaults(func=_cmd_general_collapse)
+    p.set_defaults(
+        func=_cmd_experiment,
+        run=lambda a: run_general_collapse(*_experiment_setup(a), a.rounds),
+    )
 
     p = sub.add_parser("amplifier", help="extreme expansion experiment")
     p.add_argument("--n", type=int, required=True, help="security parameter (1 or 2)")
     p.add_argument("--csv", help="also write the report as CSV")
-    p.set_defaults(func=_cmd_amplifier)
+    p.set_defaults(func=_cmd_experiment, run=lambda a: run_amplifier(a.n))
 
     return parser
 

@@ -114,14 +114,13 @@ class TripleDecomposition:
     """Convex direct-sum decomposition of x * delta_pi * z along left cosets.
 
     ``weights[i]`` is the mass x places on the transversal block sending
-    pi*K to ``coset_reps[i]*K``; ``parts[i]`` is a probability distribution
-    confined to that coset.  Blocks with zero weight receive a canonical
+    pi*K to ``double_coset.left_reps[i]*K``; ``parts[i]`` is a probability
+    distribution confined to that coset.  Blocks with zero weight receive a canonical
     uniform part so the part count always equals the orbit size m.
     """
 
     weights: tuple[Fraction, ...]
     parts: tuple[CipherDist, ...]
-    coset_reps: tuple[Permutation, ...]
     double_coset: DoubleCoset
 
     @property
@@ -195,4 +194,4 @@ def triple_decompose(
             parts.append(
                 CipherDist(group, tuple(m / weights[b] for m in part_mass[b]))
             )
-    return TripleDecomposition(tuple(weights), tuple(parts), dc.left_reps, dc)
+    return TripleDecomposition(tuple(weights), tuple(parts), dc)

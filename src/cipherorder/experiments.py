@@ -65,28 +65,25 @@ class _Rows:
         self.rows: list[CheckRow] = []
 
     def exact(self, quantity: str, expected, actual) -> None:
-        self.rows.append(
-            CheckRow(quantity, _fmt(expected), _fmt(actual), expected == actual)
-        )
+        self._add(quantity, format_value(expected), actual, expected == actual)
 
     def close(self, quantity: str, expected: float, actual: float) -> None:
-        self.rows.append(
-            CheckRow(
-                quantity,
-                _fmt(expected),
-                _fmt(actual),
-                abs(expected - actual) <= ENTROPY_TOLERANCE,
-            )
-        )
+        passed = abs(expected - actual) <= ENTROPY_TOLERANCE
+        self._add(quantity, format_value(expected), actual, passed)
 
     def info(self, quantity: str, actual) -> None:
-        self.rows.append(CheckRow(quantity, "-", _fmt(actual), True))
+        self._add(quantity, "-", actual, True)
+
+    def _add(self, quantity: str, expected: str, actual, passed: bool) -> None:
+        self.rows.append(CheckRow(quantity, expected, format_value(actual), passed))
 
     def done(self) -> tuple[CheckRow, ...]:
         return tuple(self.rows)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """A report or metric value as printed: floats to 12 significant
+    digits, everything else through ``str``."""
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -99,10 +96,10 @@ def _check_setup(group: GroupTable, subgroup: GroupTable, pi: Permutation) -> No
         raise ValueError("pi is not an element of the ambient group")
 
 
-def _assumption_row(rows: _Rows, group: GroupTable, h: GroupTable, pi: Permutation) -> bool:
-    """Report whether H differs from its pi-conjugate (the expansion
+def _assumption_row(rows: _Rows, h: GroupTable, h_pi: GroupTable) -> bool:
+    """Report whether H differs from its pi-conjugate ``h_pi`` (the expansion
     assumption); never an error, but the growth claims fail without it."""
-    holds = conjugate_subgroup(pi, h) != h
+    holds = h_pi != h
     rows.info("assumption_H_ne_piHpi^-1", "holds" if holds else "fails")
     return holds
 
@@ -149,7 +146,8 @@ def run_expand(
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("expand", rows.done(), degenerate=True)
 
-    _assumption_row(rows, group, subgroup, pi)
+    h_pi = conjugate_subgroup(pi, subgroup)
+    _assumption_row(rows, subgroup, h_pi)
     decomp = triple_decompose(x, pi, x, subgroup, subgroup)
     dc = decomp.double_coset
     rows.exact("support_T", len(dc.elements), t.support_size())
@@ -162,7 +160,7 @@ def run_expand(
         "majorization_t_vs_d", Relation.STRICTLY_BELOW.value, verdict.relation.value
     )
 
-    stab = intersection(subgroup, conjugate_subgroup(pi, subgroup))
+    stab = intersection(subgroup, h_pi)
     rows.exact("decomposition_m", subgroup.order // stab.order, decomp.m)
     rows.exact("decomposition_reconstructs_T", True, decomp.mixture() == t)
     rows.exact(
@@ -196,9 +194,11 @@ def run_collapse(
     two-term D = XZ spreads; every metric now favors D."""
     _check_setup(group, subgroup, pi)
     q_max = _default_q_max(group, q_max)
-    x = translate(pi, uniform_on_elements(group, subgroup))
+    uniform_h = uniform_on_elements(group, subgroup)
+    x = translate(pi, uniform_h)
     y = deterministic(group, pi.inverse())
-    t = convolve(x, convolve(y, x))
+    yx = convolve(y, x)
+    t = convolve(x, yx)
     d = convolve(x, x)
     rows = _Rows()
 
@@ -207,9 +207,8 @@ def run_collapse(
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("collapse", rows.done(), degenerate=True)
 
-    _assumption_row(rows, group, subgroup, pi)
-    uniform_h = uniform_on_elements(group, subgroup)
-    rows.exact("inner_convolution_uniform_on_H", True, convolve(y, x) == uniform_h)
+    _assumption_row(rows, subgroup, conjugate_subgroup(pi, subgroup))
+    rows.exact("inner_convolution_uniform_on_H", True, yx == uniform_h)
     rows.exact("support_T", subgroup.order, t.support_size())
     rows.exact("supp_T_equals_piH", True, t == x)
 
@@ -253,7 +252,7 @@ def run_general_collapse(
         rows.info("degenerate_pi_in_H", True)
         return ExperimentResult("general-collapse", rows.done(), degenerate=True)
 
-    holds = _assumption_row(rows, group, subgroup, pi)
+    holds = _assumption_row(rows, subgroup, conjugate_subgroup(pi, subgroup))
     expected_verdict = (
         Relation.STRICTLY_BELOW if holds else Relation.EQUAL_UP_TO_PERMUTATION
     )

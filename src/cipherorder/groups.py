@@ -163,13 +163,19 @@ def cyclic_group(m: int) -> GroupTable:
     return closure([rot])
 
 
+def check_points(points: tuple[int, ...], degree: int) -> None:
+    """Raise ``ValueError`` unless ``points`` are distinct points of
+    {0..degree-1}."""
+    if len(set(points)) != len(points):
+        raise ValueError(f"points must be distinct: {points}")
+    for q in points:
+        if not 0 <= q < degree:
+            raise ValueError(f"point {q} out of range for degree {degree}")
+
+
 def stabilizer(group: GroupTable, points: tuple[int, ...]) -> GroupTable:
     """Subgroup of elements fixing every point of ``points`` (pointwise)."""
-    if len(set(points)) != len(points):
-        raise ValueError(f"stabilizer points must be distinct: {points}")
-    for q in points:
-        if not 0 <= q < group.degree:
-            raise ValueError(f"point {q} out of range for degree {group.degree}")
+    check_points(points, group.degree)
     fixed = [g for g in group if all(g.images[q] == q for q in points)]
     return GroupTable(fixed, _trusted=True)
 
@@ -196,11 +202,9 @@ class CosetDecomposition:
     """Left cosets gH of a subgroup, as index blocks into the parent table.
 
     Blocks are ordered by, and represented by, their lexicographically
-    minimal member.
+    minimal member, which ``transversal`` lists.
     """
 
-    parent: GroupTable
-    subgroup: GroupTable
     transversal: tuple[Permutation, ...]
     blocks: tuple[tuple[int, ...], ...]
 
@@ -229,18 +233,18 @@ def left_cosets(parent: GroupTable, subgroup: GroupTable) -> CosetDecomposition:
             assigned[j] = True
         transversal.append(g)
         blocks.append(tuple(block))
-    return CosetDecomposition(parent, subgroup, tuple(transversal), tuple(blocks))
+    return CosetDecomposition(tuple(transversal), tuple(blocks))
 
 
 @dataclass(frozen=True)
 class DoubleCoset:
     """The set H*pi*K with its decomposition into left cosets of K.
 
+    ``elements`` and ``left_blocks`` are indices into the parent table;
     ``left_reps[i]`` is the minimal member of ``left_blocks[i]``; the block
     count ``m`` equals [H : H n pi*K*pi^-1] by orbit-stabilizer.
     """
 
-    parent: GroupTable
     elements: tuple[int, ...]
     left_reps: tuple[Permutation, ...]
     left_blocks: tuple[tuple[int, ...], ...]
@@ -268,4 +272,4 @@ def double_coset(
     blocks = tuple(dec.blocks[b] for b in kept)
     elements = tuple(sorted(i for block in blocks for i in block))
     reps = tuple(dec.transversal[b] for b in kept)
-    return DoubleCoset(parent, elements, reps, blocks)
+    return DoubleCoset(elements, reps, blocks)

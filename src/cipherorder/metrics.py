@@ -10,30 +10,16 @@ evaluation of Shannon entropy at configurable precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Sequence
 
 from .majorize import nonnegative_rationals
 
 _ZERO = Fraction(0)
 
 ENTROPY_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A named metric evaluation; exact Fraction where the formula is rational."""
-
-    kind: str
-    value: Union[Fraction, float]
-
-    def __str__(self) -> str:
-        if isinstance(self.value, Fraction):
-            return f"{self.kind}\t{self.value}"
-        return f"{self.kind}\t{self.value:.12g}"
 
 
 def _coerce_prob(xs: Sequence) -> list[Fraction]:

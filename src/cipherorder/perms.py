@@ -36,9 +36,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images))
-
     def apply(self, p: Points) -> Points:
         """Image of a point, or the componentwise image of a tuple of points."""
         if isinstance(p, tuple):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dist import CipherDist
+from .groups import check_points
 from .majorize import MajorizationVerdict, Relation, compare
 from .metrics import guesswork, variation_to_uniform
 
@@ -30,14 +31,6 @@ def distinct_tuples(m: int, q: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(m), q))
 
 
-def _check_tuple(p: tuple[int, ...], degree: int) -> None:
-    if len(set(p)) != len(p):
-        raise ValueError(f"tuple points must be distinct: {p}")
-    for v in p:
-        if not 0 <= v < degree:
-            raise ValueError(f"point {v} out of range for degree {degree}")
-
-
 @dataclass(frozen=True)
 class ImageProjection:
     """A cipher distribution seen through the images of one plaintext tuple.
@@ -48,7 +41,6 @@ class ImageProjection:
     sub-distribution sorted decreasingly.
     """
 
-    points: tuple[int, ...]
     coset_masses: tuple[Fraction, ...]
     coset_profiles: tuple[tuple[Fraction, ...], ...]
 
@@ -61,14 +53,13 @@ class ImageProjection:
 def project(x: CipherDist, p: tuple[int, ...]) -> ImageProjection:
     """Project a distribution onto the left cosets of Stab(p), i.e. group its
     masses by image tuple g(p), visiting g in canonical order."""
-    _check_tuple(p, x.group.degree)
-    pt = tuple(p)
+    check_points(p, x.group.degree)
     by_image: dict[tuple[int, ...], list[Fraction]] = {}
     for w, mass in zip(x.group.words, x.mass):
-        by_image.setdefault(tuple([w[q] for q in pt]), []).append(mass)
+        by_image.setdefault(tuple([w[q] for q in p]), []).append(mass)
     profiles = tuple(tuple(sorted(b, reverse=True)) for b in by_image.values())
     masses = tuple(sum(prof, _ZERO) for prof in profiles)
-    return ImageProjection(pt, masses, profiles)
+    return ImageProjection(masses, profiles)
 
 
 def ncpa_advantage(x: CipherDist, p: tuple[int, ...]) -> Fraction:
@@ -107,7 +98,7 @@ def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
     ``conditional_guesswork`` exactly.
     """
     group = x.group
-    _check_tuple(p, group.degree)
+    check_points(p, group.degree)
     pt = tuple(p)
     by_image: dict[tuple[int, ...], list[Fraction]] = {}
     for i, g in enumerate(group.elements):

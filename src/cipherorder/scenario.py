@@ -36,10 +36,11 @@ from .dist import (
     uniform_on_elements,
 )
 from .groups import (
-    GroupSizeError,
+    DEFAULT_CAP,
     GroupTable,
     closure,
     cyclic_group,
+    over_cap,
     stabilizer,
     symmetric_group,
 )
@@ -72,6 +73,15 @@ def parse_permutation(value: Any, *, where: str, degree: int | None = None) -> P
     return p
 
 
+def _degree(digits: str, kind: str) -> int:
+    """The degree of a ``kind(...)`` spec.  One with more digits than the
+    group-size cap is over the cap for every constructor, so it is refused
+    before ``int()`` reads it (Python refuses over 4300 digits)."""
+    if len(digits.lstrip("0")) > len(str(DEFAULT_CAP)):
+        raise over_cap(f"{kind}(<{len(digits)}-digit degree>)")
+    return int(digits)
+
+
 def parse_group_spec(spec: str, *, where: str, degree: int | None = None) -> GroupTable:
     """Build a group from a named-constructor string."""
     if not isinstance(spec, str):
@@ -79,11 +89,11 @@ def parse_group_spec(spec: str, *, where: str, degree: int | None = None) -> Gro
     text = spec.strip()
     try:
         if m := _SYM_RE.match(text):
-            group = symmetric_group(int(m.group(1)))
+            group = symmetric_group(_degree(m.group(1), "sym"))
         elif m := _CYCLIC_RE.match(text):
-            group = cyclic_group(int(m.group(1)))
+            group = cyclic_group(_degree(m.group(1), "cyclic"))
         elif m := _STAB_RE.match(text):
-            size, fixed = int(m.group(1)), int(m.group(2))
+            size, fixed = _degree(m.group(1), "stab"), int(m.group(2))
             if fixed >= size:
                 raise ScenarioError(f"{where}: stab point {fixed} out of range")
             group = stabilizer(symmetric_group(size), (fixed,))
@@ -101,7 +111,9 @@ def parse_group_spec(spec: str, *, where: str, degree: int | None = None) -> Gro
             group = closure(gens)
         else:
             raise ScenarioError(f"{where}: unrecognized group spec {spec!r}")
-    except GroupSizeError as exc:
+    except ScenarioError:
+        raise
+    except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
     if degree is not None and group.degree != degree:
         raise ScenarioError(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,8 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from cipherorder.cli import MAJORIZE_EXIT_CODES, main
+from cipherorder.cli import MAJORIZE_EXIT_CODES, build_parser, main
+from cipherorder.experiments import (
+    emit_report,
+    run_amplifier,
+    run_collapse,
+    run_expand,
+    run_general_collapse,
+)
 from cipherorder.majorize import Relation
+from cipherorder.scenario import parse_group_spec, parse_permutation
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -125,15 +134,72 @@ def test_metrics_empty_vector_file_exits_two(tmp_path, capsys):
 def test_metrics_output(tmp_path, capsys):
     dist = write(tmp_path, "d.vec", "1/2 1/4 1/4")
     assert main(["metrics", dist, "--alpha", "1/2", "--renyi", "2"]) == 0
-    lines = dict(
-        line.split("\t") for line in capsys.readouterr().out.strip().splitlines()
+    assert capsys.readouterr().out == (
+        "shannon_entropy_bits\t1.5\n"
+        "guesswork\t7/4\n"
+        "variation_to_uniform\t1/6\n"
+        "renyi_entropy_bits[2]\t1.41503749928\n"
+        "marginal_guesswork[1/2]\t1\n"
+        "alpha_guesswork[1/2]\t1\n"
     )
-    assert lines["guesswork"] == "7/4"
-    assert lines["shannon_entropy_bits"] == "1.5"
-    assert lines["variation_to_uniform"] == "1/6"
-    assert lines["marginal_guesswork[1/2]"] == "1"
-    assert lines["alpha_guesswork[1/2]"] == "1"
-    assert lines["renyi_entropy_bits[2]"].startswith("1.415")
+
+
+CLI_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from cipherorder.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter; a run over 10 s fails the test
+    (subprocess.TimeoutExpired) rather than hanging the suite."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", CLI_PROBE, str(src), *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    return result, time.perf_counter() - start
+
+
+HUGE_EXPONENTS = ["1e999999999", "1e-999999999", "1E+4301", "0e-000004301"]
+
+
+@pytest.mark.parametrize("token", HUGE_EXPONENTS)
+@pytest.mark.parametrize("command", ["majorize", "metrics"])
+def test_vector_token_exponent_out_of_range_exits_two(tmp_path, command, token):
+    bad = write(tmp_path, "bad.vec", f"1/2 {token} 1/2")
+    ok = write(tmp_path, "ok.vec", "1/2 1/2")
+    argv = [command, ok, bad] if command == "majorize" else [command, bad]
+    result, elapsed = _run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {bad}: ")
+    assert token in result.stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("token", [*HUGE_EXPONENTS, "abc"])
+@pytest.mark.parametrize("flag", ["--alpha", "--renyi"])
+def test_metrics_flag_token_errors_name_the_flag(tmp_path, flag, token):
+    dist = write(tmp_path, "d.vec", "1/2 1/2")
+    result, elapsed = _run_cli("metrics", dist, f"{flag}={token}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {flag}: ")
+    assert token in result.stderr
+    assert elapsed < 1
+
+
+def test_vector_token_exponent_at_the_bound_is_read(tmp_path, capsys):
+    x = write(tmp_path, "x.vec", "1e4300 0e-4300")
+    y = write(tmp_path, "y.vec", "1E+4300 0")
+    assert main(["majorize", x, y]) == 0
+    assert capsys.readouterr().out == "verdict\tequal-up-to-permutation\n"
 
 
 def test_metrics_rejects_unnormalized(tmp_path):
@@ -194,6 +260,15 @@ def test_compare_per_tuple_golden_output(scenario_file, tmp_path, capsys, comman
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / "compare_per_tuple.out").read_text()
     assert csv_path.read_bytes() == (DATA / "compare_per_tuple.csv").read_bytes()
+
+
+def test_compare_two_pairs_golden_output(tmp_path, capsys):
+    scenario = dict(SCENARIO, compare=[["T", "D"], ["X", "T"]])
+    path = write(tmp_path, "two.json", json.dumps(scenario))
+    csv_path = tmp_path / "two.csv"
+    assert main(["compare", path, "--q-max", "1", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == (DATA / "compare_two_pairs.out").read_text()
+    assert csv_path.read_bytes() == (DATA / "compare_two_pairs.csv").read_bytes()
 
 
 MIXED_SCENARIO = {
@@ -305,6 +380,113 @@ def test_amplifier_subcommand(capsys):
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert f"sym(2^{n}+1) has more than 50000 elements, the group-size cap" in err
+
+
+S3_SETUP = ("sym(3)", "gen([[1,0,2]])", "[0,2,1]")
+S4_NORMAL_SETUP = ("sym(4)", "gen([[1,0,3,2],[2,3,0,1]])", "[1,0,2,3]")
+
+
+def _experiment_case(command, setup, extra, run):
+    group, subgroup, pi = setup
+    argv = [command, "--group", group, "--subgroup", subgroup, "--pi", pi, *extra]
+
+    def result():
+        g = parse_group_spec(group, where="group")
+        h = parse_group_spec(subgroup, where="subgroup", degree=g.degree)
+        p = parse_permutation(json.loads(pi), where="pi", degree=g.degree)
+        return run(g, h, p)
+
+    return pytest.param(argv, result, id=f"{command}-{group}")
+
+
+EXPERIMENT_CASES = [
+    _experiment_case("expand", S3_SETUP, [], run_expand),
+    _experiment_case(
+        "expand", S4_NORMAL_SETUP, ["--q-max", "1"],
+        lambda g, h, p: run_expand(g, h, p, q_max=1),
+    ),
+    _experiment_case("collapse", S3_SETUP, [], run_collapse),
+    _experiment_case(
+        "general-collapse", S3_SETUP, ["--rounds", "2"],
+        lambda g, h, p: run_general_collapse(g, h, p, 2),
+    ),
+    pytest.param(["amplifier", "--n", "1"], lambda: run_amplifier(1), id="amplifier"),
+]
+
+
+@pytest.mark.parametrize("argv, result", EXPERIMENT_CASES)
+def test_experiment_subcommands_print_the_report(tmp_path, capsys, argv, result):
+    csv_path = tmp_path / "report.csv"
+    code = main([*argv, "--csv", str(csv_path)])
+    expected = result()
+    assert code == (0 if expected.passed else 1)
+    assert capsys.readouterr().out == emit_report([expected], "text")
+    assert csv_path.read_text() == emit_report([expected], "csv")
+
+
+def _subcommands():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sorted(sub.choices)
+
+
+def test_every_subcommand_answers_help(capsys):
+    names = _subcommands()
+    assert {"run", "compare", "expand", "amplifier"} <= set(names)
+    for name in names:
+        assert main([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cipherorder ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--group", "sym(3)", "--subgroup", "sym(3)", "--pi", "[0,1,2]"],
+        ["collapse", "--group", "sym(3)", "--subgroup", "sym(3)", "--pi", "[0,1,2]"],
+        [
+            "general-collapse", "--group", "sym(3)", "--subgroup", "sym(3)",
+            "--pi", "[0,1,2]", "--rounds", "1",
+        ],
+        ["amplifier", "--n", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_experiment_subcommands_parse_to_a_run(argv):
+    args = build_parser().parse_args(argv)
+    assert callable(args.func)
+    assert callable(args.run)
+
+
+# a degree of 5000 digits: over the cap, and over int()'s 4300-digit limit
+BIG = "9" * 5000
+BAD_GROUP_SPECS = [
+    "sym(0)", "cyclic(0)", f"sym({BIG})", f"cyclic({BIG})", f"stab({BIG}, 0)",
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    BAD_GROUP_SPECS,
+    ids=["sym(0)", "cyclic(0)", "sym(big)", "cyclic(big)", "stab(big,0)"],
+)
+def test_bad_group_spec_names_the_field(tmp_path, capsys, spec):
+    scenario = dict(SCENARIO, group=spec)
+    path = write(tmp_path, "bad_group.json", json.dumps(scenario))
+    argvs = [
+        (["compare", path], "error: group: "),
+        (["expand", "--group", spec, "--subgroup", "sym(3)", "--pi", "[0,1,2]"],
+         "error: --group: "),
+    ]
+    for argv, prefix in argvs:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        if BIG in spec:
+            assert "50000 elements, the group-size cap" in captured.err
 
 
 def test_experiment_failure_exit_code(capsys):

@@ -215,11 +215,10 @@ class TestTripleDecompose:
         assert sum(1 for w in decomp.weights if w > 0) == 1
         assert decomp.mixture() == translate(pi, z)
         # zero-weight blocks still emitted, with uniform parts
-        for w, part, rep in zip(decomp.weights, decomp.parts, decomp.coset_reps):
+        reps = decomp.double_coset.left_reps
+        for w, part, rep in zip(decomp.weights, decomp.parts, reps):
             if w == 0:
-                block = decomp.double_coset.left_blocks[
-                    decomp.coset_reps.index(rep)
-                ]
+                block = decomp.double_coset.left_blocks[reps.index(rep)]
                 assert part == uniform_on(S4, block)
 
     def test_support_violation_raises(self):
