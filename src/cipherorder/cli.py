@@ -74,6 +74,16 @@ def _rational(token: str, where: str) -> Fraction:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
+def _shown(value: Fraction, flag: str, token: str) -> str:
+    """``value`` as printed in a metric label; a value whose numerator or
+    denominator has more digits than ``str`` may print is refused, naming
+    ``flag`` and ``token``."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ScenarioError(f"{flag}: {token!r} has too many digits to print") from None
+
+
 def _read_vector(path: str) -> list[Fraction]:
     try:
         tokens = Path(path).read_text().split()
@@ -122,11 +132,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     ]
     if args.renyi is not None:
         order = _rational(args.renyi, "--renyi")
-        values.append((f"renyi_entropy_bits[{order}]", renyi_entropy(x, order)))
+        shown = _shown(order, "--renyi", args.renyi)
+        values.append((f"renyi_entropy_bits[{shown}]", renyi_entropy(x, order)))
     if args.alpha is not None:
         alpha = _rational(args.alpha, "--alpha")
-        values.append((f"marginal_guesswork[{alpha}]", marginal_guesswork(x, alpha)))
-        values.append((f"alpha_guesswork[{alpha}]", alpha_guesswork(x, alpha)))
+        shown = _shown(alpha, "--alpha", args.alpha)
+        values.append((f"marginal_guesswork[{shown}]", marginal_guesswork(x, alpha)))
+        values.append((f"alpha_guesswork[{shown}]", alpha_guesswork(x, alpha)))
     for name, value in values:
         print(f"{name}\t{format_value(value)}")
     return 0

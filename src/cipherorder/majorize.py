@@ -1,20 +1,24 @@
 """The majorization preorder on nonnegative rational vectors, with witnesses.
 
 ``compare`` decides x <= y (majorization) exactly via prefix sums of the
-decreasing rearrangements.  ``hlp_witness`` makes the Hardy-Littlewood-Polya
-direction constructive: an explicit doubly-stochastic matrix D with D y = x,
-built from at most n-1 T-transforms.  ``birkhoff_decompose`` writes any
-doubly-stochastic matrix as a convex sum of permutation matrices by greedy
-bottleneck extraction; every step lowers the dimension of the smallest face
-of the Birkhoff polytope holding the remainder, so there are at most
-(n-1)^2 + 1 terms (Marshall-Olkin-Arnold, ch. 2).
+decreasing rearrangements, taken on integer numerators over the lcm of all
+entry denominators; ``Fraction``s appear only at the API.  ``hlp_witness``
+makes the Hardy-Littlewood-Polya direction constructive: an explicit
+doubly-stochastic matrix D with D y = x, built from at most n-1
+T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
+a convex sum of permutation matrices by greedy bottleneck extraction; every
+step lowers the dimension of the smallest face of the Birkhoff polytope
+holding the remainder, so there are at most (n-1)^2 + 1 terms
+(Marshall-Olkin-Arnold, ch. 2).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from typing import Sequence
 
@@ -94,28 +98,21 @@ def _padded(x: Sequence, y: Sequence) -> tuple[list[Fraction], list[Fraction]]:
     return xs, ys
 
 
-def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
-    """Exact majorization verdict for nonnegative vectors.
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over their common denominator (the
+    lcm of every value's denominator), and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    Shorter input is zero-padded; appended zeros never change a probability
-    vector's majorization status.  With exact arithmetic the verdict is
-    always one of the precise relations: equal up to permutation, strictly
-    below, strictly above, incomparable, or a norm mismatch.
-    """
-    xs, ys = _padded(x, y)
-    xs.sort(reverse=True)
-    ys.sort(reverse=True)
+
+def _verdict(xs: Sequence[int], ys: Sequence[int]) -> MajorizationVerdict:
+    """Majorization verdict for two decreasing integer vectors of equal
+    length (numerators over one denominator), by prefix sums."""
     if sum(xs) != sum(ys):
         return MajorizationVerdict(Relation.NORM_MISMATCH)
-    first_above = first_below = None
-    px = py = _ZERO
-    for i, (a, b) in enumerate(zip(xs, ys), start=1):
-        px += a
-        py += b
-        if px > py and first_above is None:
-            first_above = i
-        if px < py and first_below is None:
-            first_below = i
+    gaps = [px - py for px, py in zip(accumulate(xs), accumulate(ys))]
+    first_above = next((i for i, g in enumerate(gaps, start=1) if g > 0), None)
+    first_below = next((i for i, g in enumerate(gaps, start=1) if g < 0), None)
     if first_above is None and first_below is None:
         return MajorizationVerdict(Relation.EQUAL_UP_TO_PERMUTATION)
     if first_above is None:
@@ -123,6 +120,22 @@ def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
     if first_below is None:
         return MajorizationVerdict(Relation.STRICTLY_ABOVE)
     return MajorizationVerdict(Relation.INCOMPARABLE, (first_above, first_below))
+
+
+def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
+    """Exact majorization verdict for nonnegative vectors.
+
+    Shorter input is zero-padded; appended zeros never change a probability
+    vector's majorization status.  With exact arithmetic the verdict is
+    always one of the precise relations: equal up to permutation, strictly
+    below, strictly above, incomparable, or a norm mismatch.  The entries
+    are compared as integer numerators over the lcm of both vectors'
+    denominators.
+    """
+    xs, ys = _padded(x, y)
+    nums, _ = _numerators(xs + ys)
+    n = len(xs)
+    return _verdict(sorted(nums[:n], reverse=True), sorted(nums[n:], reverse=True))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ uniformity are exact rationals; Shannon and Renyi entropy are floats (base-2)
 with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
 fall back to the exact Renyi power sum (integer orders) or the ``decimal``
 evaluation of Shannon entropy at configurable precision.
+
+Guesswork and variation distance take ``Fraction``s at the API and are
+computed on integer numerators over the lcm of the entries' denominators,
+by the same kernels the q-query sweep calls directly.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .majorize import nonnegative_rationals
+from .majorize import _numerators, nonnegative_rationals
 
 _ZERO = Fraction(0)
 
 ENTROPY_TOLERANCE = 1e-12
+
+# largest integer Renyi order evaluated through the exact power sum; above
+# it x^order has order * log2(denominator) bits, so the float path is used
+RENYI_EXACT_MAX_ORDER = 1000
 
 
 def _coerce_prob(xs: Sequence) -> list[Fraction]:
@@ -52,14 +60,31 @@ def shannon_entropy(x: Sequence) -> float:
 
 
 def renyi_entropy(x: Sequence, order) -> float:
-    """Renyi entropy of the given order in bits (order > 0, order != 1)."""
+    """Renyi entropy of the given order in bits (order > 0, order != 1).
+
+    Integer orders up to ``RENYI_EXACT_MAX_ORDER`` go through the exact
+    power sum.  Above that bound the largest mass x_max is factored out,
+    log2 sum x_i^a = a log2 x_max + log2 sum (x_i / x_max)^a, so the sum is
+    at least 1 and no power overflows or underflows to a zero total.
+    """
     if order <= 0:
         raise ValueError(f"Renyi order must be positive, got {order}")
     if order == 1:
         raise ValueError("order 1 is Shannon entropy; call shannon_entropy")
     xs = _coerce_prob(x)
+    if order > RENYI_EXACT_MAX_ORDER:
+        try:
+            a = float(order)
+        except OverflowError:
+            a = math.inf
+        top = max(xs)
+        log_top = _log2_fraction(top)
+        ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)
+        # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
+        # gives the min-entropy -log_top
+        return -log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
     if isinstance(order, Rational) and Fraction(order).denominator == 1:
-        power = renyi_power_sum(x, int(order))
+        power = renyi_power_sum(xs, int(order))
         return _log2_fraction(power) / (1 - int(order))
     total = sum(float(f) ** float(order) for f in xs if f > 0)
     return math.log2(total) / (1 - float(order))
@@ -73,8 +98,8 @@ def renyi_power_sum(x: Sequence, order: int) -> Fraction:
     """
     if order < 1:
         raise ValueError("exact power sum needs integer order >= 1")
-    xs = _coerce_prob(x)
-    return sum((f ** order for f in xs if f > 0), _ZERO)
+    nums, den = _numerators(_coerce_prob(x))
+    return Fraction(sum(n**order for n in nums), den**order)
 
 
 def shannon_entropy_mp(x: Sequence, dps: int = 60) -> Decimal:
@@ -91,10 +116,16 @@ def shannon_entropy_mp(x: Sequence, dps: int = 60) -> Decimal:
         return total
 
 
+def _guesswork(desc: Sequence[int], den: int) -> Fraction:
+    """Guesswork of a decreasing vector of integer numerators over ``den``:
+    sum i * s_i / den."""
+    return Fraction(sum(i * s for i, s in enumerate(desc, start=1)), den)
+
+
 def guesswork(x: Sequence) -> Fraction:
     """Expected guesses under the optimal (decreasing-probability) order."""
-    xs = _desc(_coerce_prob(x))
-    return sum((Fraction(i) * f for i, f in enumerate(xs, start=1)), _ZERO)
+    nums, den = _numerators(_coerce_prob(x))
+    return _guesswork(sorted(nums, reverse=True), den)
 
 
 def _check_alpha(alpha) -> Fraction:
@@ -130,14 +161,21 @@ def alpha_guesswork(x: Sequence, alpha) -> Fraction:
     return Fraction(w) - w * covered + partial
 
 
+def _variation(desc: Sequence[int], den: int) -> Fraction:
+    """Variation distance to uniform of a decreasing vector of integer
+    numerators over ``den`` summing to ``den``: with n entries and
+    k = #{i : n s_i >= den}, it is (n * (s_1 + ... + s_k) - k den) / (n den)."""
+    n = len(desc)
+    k = sum(1 for s in desc if n * s >= den)
+    return Fraction(n * sum(desc[:k]) - k * den, n * den)
+
+
 def variation_to_uniform(x: Sequence) -> Fraction:
     """Variation distance to the uniform distribution on the same n points.
 
     The decreasing-rearrangement closed form: with cutoff
-    k = #{i : x_[i] >= 1/n}, the distance is x_[1] + ... + x_[k] - k/n.
+    k = #{i : x_[i] >= 1/n}, the distance is x_[1] + ... + x_[k] - k/n,
+    evaluated on integer numerators over the lcm of the denominators.
     """
-    xs = _coerce_prob(x)
-    share = Fraction(1, len(xs))
-    desc = _desc(xs)
-    k = sum(1 for f in desc if f >= share)
-    return sum(desc[:k], _ZERO) - k * share
+    nums, den = _numerators(_coerce_prob(x))
+    return _variation(sorted(nums, reverse=True), den)

@@ -2,24 +2,34 @@
 
 An adversary holding the images g(p) of a q-tuple p of distinct plaintexts
 knows the realized permutation g only up to its left coset of Stab(p).
-``project`` groups a distribution by g(p) in one pass, yielding the vector
+Grouping the group's element indices by g(p) in one pass yields the vector
 behind both q-query metrics: NCPA advantage (variation distance of the coset
 masses from uniform) and conditional guesswork (guesswork of the summed
 sorted per-coset profiles).  Every verdict is a ``Direction``.
+
+``compare_q`` groups each tuple's indices once for both ciphers and runs on
+integers: both ciphers' masses become numerators over one common
+denominator (the lcm of every mass denominator on both sides), and the
+sorted profiles, block masses, column sums, majorization verdicts (integer
+prefix sums) and metrics are computed on those numerators by the kernels
+behind ``majorize.compare``, ``metrics.variation_to_uniform`` and
+``metrics.guesswork``.  Only the four metric values of a tuple become
+``Fraction``s; ``project`` and the reports keep ``Fraction``s at the API.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .dist import CipherDist
-from .groups import check_points
-from .majorize import MajorizationVerdict, Relation, compare
-from .metrics import guesswork, variation_to_uniform
+from .groups import GroupTable, check_points
+from .majorize import MajorizationVerdict, Relation, _numerators, _verdict
+from .metrics import _guesswork, _variation, guesswork, variation_to_uniform
 
 _ZERO = Fraction(0)
 
@@ -47,19 +57,45 @@ class ImageProjection:
     def profile_sum(self) -> tuple[Fraction, ...]:
         """Componentwise sum of the sorted per-coset profiles (a probability
         vector; its guesswork is the conditional guesswork)."""
-        return tuple(sum(col, _ZERO) for col in zip(*self.coset_profiles))
+        return tuple(_column_sums(self.coset_profiles))
+
+
+def _image_columns(group: GroupTable) -> list[tuple[int, ...]]:
+    """``columns[a][i]`` is the image of point a under element i."""
+    return list(zip(*group.words))
+
+
+def _image_blocks(
+    columns: Sequence[Sequence[int]], order: int, p: tuple[int, ...]
+) -> list[list[int]]:
+    """Element indices grouped by image tuple g(p): the left cosets of
+    Stab(p), each in canonical order, in the order of their lexicographically
+    minimal member."""
+    if not p:
+        return [list(range(order))]
+    blocks: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for i, image in enumerate(zip(*[columns[a] for a in p])):
+        blocks[image].append(i)
+    return list(blocks.values())
+
+
+def _profiles(blocks: list[list[int]], values: Sequence) -> list[list]:
+    """Each block's values sorted decreasingly."""
+    return [sorted([values[i] for i in block], reverse=True) for block in blocks]
+
+
+def _column_sums(profiles: Sequence[Sequence]) -> list:
+    """Componentwise sum of equal-length decreasing profiles; decreasing."""
+    return [sum(col) for col in zip(*profiles)]
 
 
 def project(x: CipherDist, p: tuple[int, ...]) -> ImageProjection:
     """Project a distribution onto the left cosets of Stab(p), i.e. group its
     masses by image tuple g(p), visiting g in canonical order."""
     check_points(p, x.group.degree)
-    by_image: dict[tuple[int, ...], list[Fraction]] = {}
-    for w, mass in zip(x.group.words, x.mass):
-        by_image.setdefault(tuple([w[q] for q in p]), []).append(mass)
-    profiles = tuple(tuple(sorted(b, reverse=True)) for b in by_image.values())
-    masses = tuple(sum(prof, _ZERO) for prof in profiles)
-    return ImageProjection(masses, profiles)
+    blocks = _image_blocks(_image_columns(x.group), x.group.order, p)
+    profiles = tuple(tuple(prof) for prof in _profiles(blocks, x.mass))
+    return ImageProjection(tuple(sum(prof) for prof in profiles), profiles)
 
 
 def ncpa_advantage(x: CipherDist, p: tuple[int, ...]) -> Fraction:
@@ -212,20 +248,28 @@ def _combine(directions: Sequence[Direction]) -> Direction:
 
 
 def _compare_at_tuple(
-    left: CipherDist, right: CipherDist, p: tuple[int, ...]
+    blocks: list[list[int]],
+    left: Sequence[int],
+    right: Sequence[int],
+    den: int,
+    p: tuple[int, ...],
 ) -> TupleComparison:
-    proj_l = project(left, p)
-    proj_r = project(right, p)
-    sum_l = proj_l.profile_sum()
-    sum_r = proj_r.profile_sum()
+    """Both ciphers' metrics at p from their integer numerators over ``den``
+    and the tuple's image blocks."""
+    prof_l = _profiles(blocks, left)
+    prof_r = _profiles(blocks, right)
+    masses_l = sorted(map(sum, prof_l), reverse=True)
+    masses_r = sorted(map(sum, prof_r), reverse=True)
+    sum_l = _column_sums(prof_l)
+    sum_r = _column_sums(prof_r)
     return TupleComparison(
-        points=tuple(p),
-        advantage_left=variation_to_uniform(proj_l.coset_masses),
-        advantage_right=variation_to_uniform(proj_r.coset_masses),
-        guesswork_left=guesswork(sum_l),
-        guesswork_right=guesswork(sum_r),
-        coset_verdict=compare(proj_l.coset_masses, proj_r.coset_masses),
-        profile_verdict=compare(sum_l, sum_r),
+        points=p,
+        advantage_left=_variation(masses_l, den),
+        advantage_right=_variation(masses_r, den),
+        guesswork_left=_guesswork(sum_l, den),
+        guesswork_right=_guesswork(sum_r, den),
+        coset_verdict=_verdict(masses_l, masses_r),
+        profile_verdict=_verdict(sum_l, sum_r),
     )
 
 
@@ -242,16 +286,30 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     Schur-concave, so their per-tuple directions are ``EQUAL`` or agree
     with those verdicts, so the level verdict does not read them (the tests
     check that agreement).
+
+    Both ciphers' masses are converted once to integer numerators over the
+    lcm of all their denominators, and each tuple's image blocks are built
+    once and used for both; everything per tuple runs on ``int``s except the
+    four metric values, which are built as ``Fraction``s.
     """
     if left.group != right.group:
         raise ValueError("ciphers live on different groups")
     m = left.group.degree
     if not 0 <= q_max <= m:
         raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
+    order = left.group.order
+    nums, den = _numerators(left.mass + right.mass)
+    left_nums, right_nums = nums[:order], nums[order:]
+    columns = _image_columns(left.group)
     levels = []
     for q in range(q_max + 1):
         tuples = [()] if q == 0 else distinct_tuples(m, q)
-        rows = tuple(_compare_at_tuple(left, right, p) for p in tuples)
+        rows = tuple(
+            _compare_at_tuple(
+                _image_blocks(columns, order, p), left_nums, right_nums, den, p
+            )
+            for p in tuples
+        )
         max_adv_l = max(rows, key=lambda r: r.advantage_left)
         max_adv_r = max(rows, key=lambda r: r.advantage_right)
         min_gw_l = min(rows, key=lambda r: r.guesswork_left)

@@ -12,7 +12,15 @@ from cipherorder import (
     stabilizer,
     uniform_on,
 )
+from cipherorder.majorize import MajorizationVerdict, Relation
 from cipherorder.perms import Permutation, compose
+from cipherorder.qsecurity import (
+    ComparisonReport,
+    Direction,
+    LevelComparison,
+    TupleComparison,
+    distinct_tuples,
+)
 
 
 def rational_prob_vector(
@@ -24,6 +32,21 @@ def rational_prob_vector(
         weights[rng.randrange(n)] = 1
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
+
+
+def mixed_denominator_vector(
+    rng: random.Random, n: int, normalized: bool = True
+) -> list[Fraction]:
+    """Entries w / d with a random denominator d per entry (zeros allowed),
+    scaled to sum to 1 if ``normalized``."""
+    dens = [rng.choice([1, 2, 3, 4, 5, 7, 9, 11, 16, 25, 27, 49]) for _ in range(n)]
+    xs = [Fraction(rng.randint(0, 2 * d), d) for d in dens]
+    total = sum(xs)
+    if not normalized:
+        return xs
+    if total == 0:
+        return [Fraction(1)] + [Fraction(0)] * (n - 1)
+    return [v / total for v in xs]
 
 
 def t_transform(rng: random.Random, y: list[Fraction]) -> list[Fraction]:
@@ -123,3 +146,133 @@ def set_product_support(x: CipherDist, y: CipherDist) -> set[int]:
         for j in y.support():
             out.add(group.index(compose(group.element(i), group.element(j))))
     return out
+
+
+# Fraction references for the integer-numerator kernels: each is the
+# formula the library evaluated entry by entry in Fractions before the
+# q-sweep moved to integer numerators over a common denominator.
+
+
+def compare_oracle(x, y) -> MajorizationVerdict:
+    """Majorization verdict by Fraction prefix sums of the zero-padded
+    decreasing rearrangements."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = max(len(xs), len(ys))
+    xs = sorted(xs + [Fraction(0)] * (n - len(xs)), reverse=True)
+    ys = sorted(ys + [Fraction(0)] * (n - len(ys)), reverse=True)
+    if sum(xs) != sum(ys):
+        return MajorizationVerdict(Relation.NORM_MISMATCH)
+    first_above = first_below = None
+    px = py = Fraction(0)
+    for i, (a, b) in enumerate(zip(xs, ys), start=1):
+        px += a
+        py += b
+        if px > py and first_above is None:
+            first_above = i
+        if px < py and first_below is None:
+            first_below = i
+    if first_above is None and first_below is None:
+        return MajorizationVerdict(Relation.EQUAL_UP_TO_PERMUTATION)
+    if first_above is None:
+        return MajorizationVerdict(Relation.STRICTLY_BELOW)
+    if first_below is None:
+        return MajorizationVerdict(Relation.STRICTLY_ABOVE)
+    return MajorizationVerdict(Relation.INCOMPARABLE, (first_above, first_below))
+
+
+def variation_to_uniform_oracle(x) -> Fraction:
+    """x_[1] + ... + x_[k] - k/n with k = #{i : x_[i] >= 1/n}, in Fractions."""
+    share = Fraction(1, len(x))
+    desc = sorted((Fraction(v) for v in x), reverse=True)
+    k = sum(1 for f in desc if f >= share)
+    return sum(desc[:k], Fraction(0)) - k * share
+
+
+def guesswork_oracle(x) -> Fraction:
+    """sum i * x_[i] over the decreasing rearrangement, in Fractions."""
+    desc = sorted((Fraction(v) for v in x), reverse=True)
+    return sum((i * f for i, f in enumerate(desc, start=1)), Fraction(0))
+
+
+def project_oracle(
+    x: CipherDist, p: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(coset masses, profile sum) of one cipher through the images of p:
+    Fraction masses grouped by g(p), each group sorted decreasingly."""
+    by_image: dict[tuple[int, ...], list[Fraction]] = {}
+    for w, mass in zip(x.group.words, x.mass):
+        by_image.setdefault(tuple(w[a] for a in p), []).append(mass)
+    profiles = [sorted(b, reverse=True) for b in by_image.values()]
+    masses = tuple(sum(prof, Fraction(0)) for prof in profiles)
+    return masses, tuple(sum(col, Fraction(0)) for col in zip(*profiles))
+
+
+def _direction_oracle(v: MajorizationVerdict) -> Direction:
+    return {
+        Relation.EQUAL_UP_TO_PERMUTATION: Direction.EQUAL,
+        Relation.STRICTLY_BELOW: Direction.LEFT,
+        Relation.STRICTLY_ABOVE: Direction.RIGHT,
+    }.get(v.relation, Direction.MIXED)
+
+
+def _combine_oracle(directions) -> Direction:
+    seen = set(directions) - {Direction.EQUAL}
+    if not seen:
+        return Direction.EQUAL
+    return seen.pop() if len(seen) == 1 else Direction.MIXED
+
+
+def compare_q_oracle(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonReport:
+    """The q-sweep with each side projected on its own and every verdict
+    and metric taken in Fractions."""
+    levels = []
+    for q in range(q_max + 1):
+        rows = []
+        for p in [()] if q == 0 else distinct_tuples(left.group.degree, q):
+            masses_l, sum_l = project_oracle(left, p)
+            masses_r, sum_r = project_oracle(right, p)
+            rows.append(
+                TupleComparison(
+                    points=p,
+                    advantage_left=variation_to_uniform_oracle(masses_l),
+                    advantage_right=variation_to_uniform_oracle(masses_r),
+                    guesswork_left=guesswork_oracle(sum_l),
+                    guesswork_right=guesswork_oracle(sum_r),
+                    coset_verdict=compare_oracle(masses_l, masses_r),
+                    profile_verdict=compare_oracle(sum_l, sum_r),
+                )
+            )
+        max_adv_l = max(rows, key=lambda r: r.advantage_left)
+        max_adv_r = max(rows, key=lambda r: r.advantage_right)
+        min_gw_l = min(rows, key=lambda r: r.guesswork_left)
+        min_gw_r = min(rows, key=lambda r: r.guesswork_right)
+        verdict = _combine_oracle(
+            _direction_oracle(v)
+            for row in rows
+            for v in (row.coset_verdict, row.profile_verdict)
+        )
+        levels.append(
+            LevelComparison(
+                q=q,
+                tuples=tuple(rows),
+                max_advantage_left=max_adv_l.advantage_left,
+                max_advantage_left_tuple=max_adv_l.points,
+                max_advantage_right=max_adv_r.advantage_right,
+                max_advantage_right_tuple=max_adv_r.points,
+                min_guesswork_left=min_gw_l.guesswork_left,
+                min_guesswork_left_tuple=min_gw_l.points,
+                min_guesswork_right=min_gw_r.guesswork_right,
+                min_guesswork_right_tuple=min_gw_r.points,
+                verdict=verdict,
+            )
+        )
+    overall = _combine_oracle(lvl.verdict for lvl in levels)
+    return ComparisonReport(tuple(levels), overall)
+
+
+def dist_over(rng: random.Random, group: GroupTable, total: int) -> CipherDist:
+    """Random distribution whose masses are w / total for integer weights
+    w summing to total, so every denominator divides total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(group.order - 1))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return CipherDist(group, tuple(Fraction(w, total) for w in weights))

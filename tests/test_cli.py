@@ -183,7 +183,8 @@ def test_vector_token_exponent_out_of_range_exits_two(tmp_path, command, token):
     assert elapsed < 1
 
 
-@pytest.mark.parametrize("token", [*HUGE_EXPONENTS, "abc"])
+# 1e4300 and 1e-4300 are read, but have 4301 digits: too many to print
+@pytest.mark.parametrize("token", [*HUGE_EXPONENTS, "abc", "1e4300", "1e-4300"])
 @pytest.mark.parametrize("flag", ["--alpha", "--renyi"])
 def test_metrics_flag_token_errors_name_the_flag(tmp_path, flag, token):
     dist = write(tmp_path, "d.vec", "1/2 1/2")
@@ -192,6 +193,15 @@ def test_metrics_flag_token_errors_name_the_flag(tmp_path, flag, token):
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: {flag}: ")
     assert token in result.stderr
+    assert elapsed < 1
+
+
+def test_metrics_large_renyi_order_prints_quickly(tmp_path):
+    dist = write(tmp_path, "d.vec", "1/2 1/4 1/4")
+    result, elapsed = _run_cli("metrics", dist, "--renyi", "1000000000")
+    assert result.returncode == 0
+    # 1 + 1/(order - 1): the min-entropy 1 plus the tie-count term
+    assert "renyi_entropy_bits[1000000000]\t1.000000001\n" in result.stdout
     assert elapsed < 1
 
 
@@ -269,6 +279,38 @@ def test_compare_two_pairs_golden_output(tmp_path, capsys):
     assert main(["compare", path, "--q-max", "1", "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == (DATA / "compare_two_pairs.out").read_text()
     assert csv_path.read_bytes() == (DATA / "compare_two_pairs.csv").read_bytes()
+
+
+# shaped like the compare-q-s6 benchmark scenario (K Y A vs K A, B Y A vs
+# B A) over sym(4); A, B and K's subgroup have orders 2, 3 and 4, so the
+# first pair's masses have denominators 8 and 4
+SYM4_SCENARIO = {
+    "message_count": 4,
+    "group": "sym(4)",
+    "ciphers": {
+        "A": {"uniform_on": "gen([[2,3,0,1]])"},
+        "B": {"uniform_on": "gen([[1,2,0,3]])"},
+        "Y": {"deterministic": [2, 0, 3, 1]},
+        "K": {"coset": {"rep": [1, 0, 3, 2], "subgroup": "gen([[1,2,3,0]])"}},
+    },
+    "products": {
+        "T": ["K", "Y", "A"],
+        "D": ["K", "A"],
+        "U": ["B", "Y", "A"],
+        "V": ["B", "A"],
+    },
+    "compare": [["T", "D"], ["U", "V"]],
+    "q_max": 2,
+}
+
+
+def test_compare_sym4_full_sweep_golden_output(tmp_path, capsys):
+    path = write(tmp_path, "sym4.json", json.dumps(SYM4_SCENARIO))
+    csv_path = tmp_path / "sym4.csv"
+    argv = ["compare", path, "--q-max", "4", "--per-tuple", "--csv", str(csv_path)]
+    assert main(argv) == 1  # the second pair is mixed at q = 1
+    assert capsys.readouterr().out == (DATA / "compare_sym4.out").read_text()
+    assert csv_path.read_bytes() == (DATA / "compare_sym4.csv").read_bytes()
 
 
 MIXED_SCENARIO = {

@@ -16,7 +16,13 @@ from cipherorder.majorize import (
 )
 from cipherorder.perms import Permutation, identity
 
-from helpers import majorized_pair, rational_prob_vector
+from helpers import (
+    compare_oracle,
+    majorized_pair,
+    mixed_denominator_vector,
+    rational_prob_vector,
+    t_transform,
+)
 
 F = Fraction
 
@@ -245,3 +251,23 @@ def test_birkhoff_random_doubly_stochastic(seed):
             recon[i][p.images[i]] += w
     assert tuple(tuple(r) for r in recon) == frozen
     assert len(terms) <= (n - 1) ** 2 + 1
+
+
+def test_compare_equals_fraction_oracle_on_unequal_denominators():
+    rng = random.Random(808)
+    relations = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        x = mixed_denominator_vector(rng, n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            y = mixed_denominator_vector(rng, rng.randint(1, 9))
+        elif kind == 1:
+            y = t_transform(rng, x) if n > 1 else list(x)
+        else:
+            y = mixed_denominator_vector(rng, n, normalized=False)
+        for a, b in ((x, y), (y, x)):
+            verdict = compare(a, b)
+            assert verdict == compare_oracle(a, b)
+            relations.add(verdict.relation)
+    assert relations == set(Relation)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cipherorder.majorize import compare
 from cipherorder.metrics import (
+    RENYI_EXACT_MAX_ORDER,
+    _log2_fraction,
     alpha_guesswork,
     guesswork,
     marginal_guesswork,
@@ -18,7 +20,14 @@ from cipherorder.metrics import (
     variation_to_uniform,
 )
 
-from helpers import half_l1_to_uniform, majorized_pair, rational_prob_vector
+from helpers import (
+    guesswork_oracle,
+    half_l1_to_uniform,
+    majorized_pair,
+    mixed_denominator_vector,
+    rational_prob_vector,
+    variation_to_uniform_oracle,
+)
 
 F = Fraction
 TOL = 1e-12
@@ -51,6 +60,34 @@ def test_renyi_entropy_examples():
         math.log2(8 / 5), abs=TOL
     )
     assert renyi_power_sum([F(3, 4), F(1, 4)], 2) == F(5, 8)
+
+
+def test_renyi_entropy_above_exact_bound_matches_power_sum():
+    # above RENYI_EXACT_MAX_ORDER the largest mass is factored out in floats
+    rng = random.Random(11)
+    for _ in range(20):
+        x = mixed_denominator_vector(rng, rng.randint(1, 6))
+        for order in (RENYI_EXACT_MAX_ORDER + 1, 1500, 4000):
+            exact = _log2_fraction(renyi_power_sum(x, order)) / (1 - order)
+            assert renyi_entropy(x, order) == pytest.approx(exact, abs=TOL)
+        # nonincreasing in the order, across a non-integer order too
+        low, mid, high = (renyi_entropy(x, a) for a in (1001, F(2003, 2), 1002))
+        assert low + TOL >= mid >= high - TOL
+
+
+def test_renyi_entropy_at_huge_orders_is_min_entropy():
+    x = [F(1, 2), F(1, 4), F(1, 4)]
+    for order in (10**9, F(10**4300), 10**5000):
+        assert renyi_entropy(x, order) == pytest.approx(1.0, abs=1e-8)
+    assert renyi_entropy([F(1, 4)] * 4, 10**5000) == 2.0
+
+
+def test_rational_metrics_equal_fraction_oracle_on_unequal_denominators():
+    rng = random.Random(909)
+    for _ in range(300):
+        x = mixed_denominator_vector(rng, rng.randint(1, 9))
+        assert variation_to_uniform(x) == variation_to_uniform_oracle(x)
+        assert guesswork(x) == guesswork_oracle(x)
 
 
 def test_renyi_rejects_bad_orders():

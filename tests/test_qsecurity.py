@@ -25,11 +25,18 @@ from cipherorder.qsecurity import (
     project,
 )
 
-from helpers import random_dist, random_dist_on, random_subgroup
+from helpers import (
+    compare_q_oracle,
+    dist_over,
+    random_dist,
+    random_dist_on,
+    random_subgroup,
+)
 
 F = Fraction
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
+S5 = symmetric_group(5)
 H01 = closure([transposition(3, 0, 1)])
 PI = transposition(3, 1, 2)
 
@@ -340,3 +347,39 @@ def test_compare_q_invariant_under_relabelling():
                 assert a.min_guesswork_right == b.min_guesswork_right
         seen.update(level.verdict for level in base.levels)
     assert len(seen) >= 3
+
+
+def _oracle_case(rng: random.Random, group, kind: str) -> CipherDist:
+    if kind == "full":
+        return random_dist(rng, group)
+    if kind == "subgroup":
+        return random_dist_on(rng, group, random_subgroup(rng, group))
+    if kind == "point":
+        return deterministic(group, rng.choice(group.elements))
+    # a product: subgroup-supported factors around a point mass
+    a = random_dist_on(rng, group, random_subgroup(rng, group))
+    b = random_dist_on(rng, group, random_subgroup(rng, group))
+    return convolve(a, convolve(deterministic(group, rng.choice(group.elements)), b))
+
+
+KINDS = ("full", "subgroup", "point", "product")
+
+
+@pytest.mark.parametrize(
+    "group, q_max", [(S3, 3), (S4, 4), (S5, 3)], ids=["S3", "S4", "S5"]
+)
+def test_compare_q_equals_fraction_oracle(group, q_max):
+    rng = random.Random(group.order)
+    pairs = [
+        (_oracle_case(rng, group, a), _oracle_case(rng, group, b))
+        for a in KINDS
+        for b in KINDS
+        if group.order < 120 or a == b
+    ]
+    # pairwise coprime denominators: the common one exceeds both sides' own
+    pairs += [
+        (dist_over(rng, group, 32), dist_over(rng, group, 27)),
+        (dist_over(rng, group, 25), dist_over(rng, group, 49)),
+    ]
+    for left, right in pairs:
+        assert compare_q(left, right, q_max) == compare_q_oracle(left, right, q_max)
