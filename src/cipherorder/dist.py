@@ -1,49 +1,87 @@
 """Exact probability distributions over a permutation group and their products.
 
 The distribution of a product cipher Z = XY (Y applied to the plaintext
-first) is the convolution z(g) = sum over a*b = g of x(a) y(b).  All masses
-are ``fractions.Fraction``, so support sizes, majorization verdicts and tie
-cases are decided exactly.
+first) is the convolution z(g) = sum over a*b = g of x(a) y(b).  A
+distribution is stored as integer numerators over one denominator, in lowest
+terms, and every constructor, product, translate and triple decomposition
+here adds and multiplies ``int``s only, so support sizes, majorization
+verdicts and tie cases are decided exactly.  ``mass`` is the ``Fraction``
+view of the masses for the API.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import DoubleCoset, GroupTable, double_coset
+from .majorize import _numerators
 from .perms import Permutation
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CipherDist:
-    """A cipher as an exact distribution over a group's canonical index."""
+    """A cipher as an exact distribution over a group's canonical index.
+
+    Element i has mass ``nums[i] / den``, and ``gcd(den, *nums) == 1``, so
+    equal distributions have equal fields (and equal hashes).
+    ``CipherDist(group, mass)`` takes rational masses; the library builds
+    its distributions from integers through ``from_numerators``.  Both check
+    the length, the signs and the total.
+    """
 
     group: GroupTable
-    mass: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if len(self.mass) != self.group.order:
-            raise ValueError(
-                f"mass length {len(self.mass)} != group order {self.group.order}"
-            )
-        if any(m < 0 for m in self.mass):
+    def __init__(self, group: GroupTable, mass: Sequence) -> None:
+        fracs = [m if isinstance(m, Fraction) else Fraction(m) for m in mass]
+        self._set(group, *_numerators(fracs))
+
+    @classmethod
+    def from_numerators(
+        cls, group: GroupTable, nums: Sequence[int], den: int
+    ) -> CipherDist:
+        """The distribution with masses ``nums[i] / den``, in lowest terms."""
+        dist = object.__new__(cls)
+        dist._set(group, nums, den)
+        return dist
+
+    def _set(self, group: GroupTable, nums: Sequence[int], den: int) -> None:
+        if len(nums) != group.order:
+            raise ValueError(f"mass length {len(nums)} != group order {group.order}")
+        if min(nums) < 0:
             raise ValueError("masses must be nonnegative")
-        if sum(self.mass) != 1:
-            raise ValueError(f"masses must sum to 1, got {sum(self.mass)}")
+        total = sum(nums)
+        if total != den:
+            raise ValueError(f"masses must sum to 1, got {Fraction(total, den)}")
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [n // g for n in nums]
+            den //= g
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        """The masses as ``Fraction``s, in the group's canonical order."""
+        den = self.den
+        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
 
     def mass_of(self, g: Permutation) -> Fraction:
-        return self.mass[self.group.index(g)]
+        return Fraction(self.nums[self.group.index(g)], self.den)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.mass) if m > 0)
+        return tuple(i for i, n in enumerate(self.nums) if n)
 
     def support_size(self) -> int:
-        return sum(1 for m in self.mass if m > 0)
+        return len(self.nums) - self.nums.count(0)
 
 
 def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
@@ -54,10 +92,8 @@ def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
     for i in indices:
         if not 0 <= i < group.order:
             raise ValueError(f"element index {i} out of range")
-    share = Fraction(1, len(indices))
-    return CipherDist(
-        group, tuple(share if i in indices else _ZERO for i in range(group.order))
-    )
+    nums = [1 if i in indices else 0 for i in range(group.order)]
+    return CipherDist.from_numerators(group, nums, len(indices))
 
 
 def uniform_on_elements(group: GroupTable, elems: Iterable[Permutation]) -> CipherDist:
@@ -66,10 +102,9 @@ def uniform_on_elements(group: GroupTable, elems: Iterable[Permutation]) -> Ciph
 
 def deterministic(group: GroupTable, g: Permutation) -> CipherDist:
     """Point mass at a single permutation."""
-    idx = group.index(g)
-    return CipherDist(
-        group, tuple(_ONE if i == idx else _ZERO for i in range(group.order))
-    )
+    nums = [0] * group.order
+    nums[group.index(g)] = 1
+    return CipherDist.from_numerators(group, nums, 1)
 
 
 def _require_same_group(x: CipherDist, y: CipherDist) -> GroupTable:
@@ -81,17 +116,20 @@ def _require_same_group(x: CipherDist, y: CipherDist) -> GroupTable:
 def convolve(x: CipherDist, y: CipherDist) -> CipherDist:
     """Distribution of the product cipher XY: z(g) = sum_{a*b=g} x(a) y(b).
 
-    Sparse double loop over the support pairs supp(x) x supp(y), adding
-    x(a) y(b) at the index of a*b; no inverses are needed.
+    Sparse double loop over the support pairs supp(x) x supp(y), adding the
+    numerator product at the index of a*b over the denominator product; no
+    inverses are needed.
     """
     group = _require_same_group(x, y)
-    supp_y = [(j, y.mass[j]) for j in y.support()]
-    out = [_ZERO] * group.order
-    for i in x.support():
-        xi = x.mass[i]
-        for j, yj in supp_y:
-            out[group.mul(i, j)] += xi * yj
-    return CipherDist(group, tuple(out))
+    supp_y = y.support()
+    right = [y.nums[j] for j in supp_y]
+    row = group.right_products(supp_y)
+    out = [0] * group.order
+    for i, xi in enumerate(x.nums):
+        if xi:
+            for k, yj in zip(row(i), right):
+                out[k] += xi * yj
+    return CipherDist.from_numerators(group, out, x.den * y.den)
 
 
 def convolve_all(dists: Sequence[CipherDist]) -> CipherDist:
@@ -113,30 +151,38 @@ def translate(g: Permutation, x: CipherDist) -> CipherDist:
 class TripleDecomposition:
     """Convex direct-sum decomposition of x * delta_pi * z along left cosets.
 
-    ``weights[i]`` is the mass x places on the transversal block sending
-    pi*K to ``double_coset.left_reps[i]*K``; ``parts[i]`` is a probability
-    distribution confined to that coset.  Blocks with zero weight receive a canonical
-    uniform part so the part count always equals the orbit size m.
+    ``weights[i] = weight_nums[i] / weight_den`` is the mass x places on the
+    transversal block sending pi*K to ``double_coset.left_reps[i]*K``;
+    ``parts[i]`` is a probability distribution confined to that coset.
+    Blocks with zero weight receive a canonical uniform part so the part
+    count always equals the orbit size m.
     """
 
-    weights: tuple[Fraction, ...]
+    weight_nums: tuple[int, ...]
+    weight_den: int
     parts: tuple[CipherDist, ...]
     double_coset: DoubleCoset
 
     @property
     def m(self) -> int:
-        return len(self.weights)
+        return len(self.weight_nums)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.weight_den) for w in self.weight_nums)
 
     def mixture(self) -> CipherDist:
-        """The reconstructed convolution sum_i weights[i] * parts[i]."""
+        """The reconstructed convolution sum_i weights[i] * parts[i], over
+        ``weight_den`` times the lcm of the weighted parts' denominators."""
         group = self.parts[0].group
-        out = [_ZERO] * group.order
-        for w, part in zip(self.weights, self.parts):
-            if w == 0:
-                continue
+        live = [(w, part) for w, part in zip(self.weight_nums, self.parts) if w]
+        scale = math.lcm(*(part.den for _, part in live))
+        out = [0] * group.order
+        for w, part in live:
+            factor = w * (scale // part.den)
             for i in part.support():
-                out[i] += w * part.mass[i]
-        return CipherDist(group, tuple(out))
+                out[i] += factor * part.nums[i]
+        return CipherDist.from_numerators(group, out, self.weight_den * scale)
 
 
 def _check_confined(x: CipherDist, sub: GroupTable, name: str) -> None:
@@ -171,27 +217,28 @@ def triple_decompose(
         for i in block:
             block_of[i] = b
 
+    # part b is sum_a x(a) delta_a * z_shift over the a in supp(x) with
+    # a*pi in block b, divided by the block's weight
     z_shift = translate(pi, z)
-    shift_support = [(f, z_shift.mass[f]) for f in z_shift.support()]
+    shift_support = z_shift.support()
+    shift = [z_shift.nums[f] for f in shift_support]
+    row = group.right_products(shift_support)
 
     p = group.index(pi)
-    weights = [_ZERO] * dc.m
-    part_mass = [[_ZERO] * group.order for _ in range(dc.m)]
-    for a in group.indices_of(h):
-        w = x.mass[a]
+    weights = [0] * dc.m
+    part_nums = [[0] * group.order for _ in range(dc.m)]
+    for a in x.support():
+        w = x.nums[a]
         b = block_of[group.mul(a, p)]
         weights[b] += w
-        if w == 0:
-            continue
-        for f, mass in shift_support:
-            part_mass[b][group.mul(a, f)] += w * mass
+        part = part_nums[b]
+        for g, mass in zip(row(a), shift):
+            part[g] += w * mass
 
-    parts: list[CipherDist] = []
-    for b in range(dc.m):
-        if weights[b] == 0:
-            parts.append(uniform_on(group, dc.left_blocks[b]))
-        else:
-            parts.append(
-                CipherDist(group, tuple(m / weights[b] for m in part_mass[b]))
-            )
-    return TripleDecomposition(tuple(weights), tuple(parts), dc)
+    parts = tuple(
+        CipherDist.from_numerators(group, part_nums[b], weights[b] * z_shift.den)
+        if weights[b]
+        else uniform_on(group, dc.left_blocks[b])
+        for b in range(dc.m)
+    )
+    return TripleDecomposition(tuple(weights), x.den, parts, dc)

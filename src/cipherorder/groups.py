@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _words
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perms import Permutation, compose, identity
 
@@ -95,6 +96,26 @@ class GroupTable:
         """Index of ``element(i) * element(j)``; ``element(j)`` acts first."""
         a = self.words[i]
         return self._index[tuple([a[k] for k in self.words[j]])]
+
+    def right_products(self, js: Sequence[int]) -> Callable[[int], list[int]]:
+        """The map i -> ``[mul(i, j) for j in js]``.
+
+        Each ``words[j]`` becomes an ``operator.itemgetter`` once, so every
+        product is one C-level composition and one dict lookup; the hot
+        loops of ``dist`` call this instead of ``mul``.
+        """
+        index, words = self._index, self.words
+        # itemgetter of a single index returns a scalar, not a 1-tuple
+        getters = [
+            itemgetter(*w) if len(w) > 1 else (lambda a, k=w[0]: (a[k],))
+            for w in (words[j] for j in js)
+        ]
+
+        def row(i: int) -> list[int]:
+            a = words[i]
+            return [index[get(a)] for get in getters]
+
+        return row
 
     def indices_of(self, elems: Iterable[Permutation]) -> tuple[int, ...]:
         """Sorted positions of the given elements in this group's ordering."""

@@ -63,9 +63,9 @@ def renyi_entropy(x: Sequence, order) -> float:
     """Renyi entropy of the given order in bits (order > 0, order != 1).
 
     Integer orders up to ``RENYI_EXACT_MAX_ORDER`` go through the exact
-    power sum.  Above that bound the largest mass x_max is factored out,
-    log2 sum x_i^a = a log2 x_max + log2 sum (x_i / x_max)^a, so the sum is
-    at least 1 and no power overflows or underflows to a zero total.
+    power sum, other orders up to it through the float sum of x_i^a.  Above
+    that bound, and where every x_i^a underflows to 0.0, the largest mass
+    x_max is factored out (see ``_renyi_factored``).
     """
     if order <= 0:
         raise ValueError(f"Renyi order must be positive, got {order}")
@@ -77,17 +77,27 @@ def renyi_entropy(x: Sequence, order) -> float:
             a = float(order)
         except OverflowError:
             a = math.inf
-        top = max(xs)
-        log_top = _log2_fraction(top)
-        ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)
-        # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
-        # gives the min-entropy -log_top
-        return -log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
+        return _renyi_factored(xs, a)
     if isinstance(order, Rational) and Fraction(order).denominator == 1:
         power = renyi_power_sum(xs, int(order))
         return _log2_fraction(power) / (1 - int(order))
-    total = sum(float(f) ** float(order) for f in xs if f > 0)
-    return math.log2(total) / (1 - float(order))
+    a = float(order)
+    total = sum(float(f) ** a for f in xs if f > 0)
+    if total == 0.0:
+        return _renyi_factored(xs, a)
+    return math.log2(total) / (1 - a)
+
+
+def _renyi_factored(xs: list[Fraction], a: float) -> float:
+    """Renyi entropy of order a with the largest mass x_max factored out:
+    log2 sum x_i^a = a log2 x_max + log2 sum (x_i / x_max)^a, whose sum is
+    at least 1, so no power overflows or underflows to a zero total."""
+    top = max(xs)
+    log_top = _log2_fraction(top)
+    ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)
+    # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
+    # gives the min-entropy -log_top
+    return -log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
 
 
 def renyi_power_sum(x: Sequence, order: int) -> Fraction:

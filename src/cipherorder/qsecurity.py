@@ -8,11 +8,11 @@ masses from uniform) and conditional guesswork (guesswork of the summed
 sorted per-coset profiles).  Every verdict is a ``Direction``.
 
 ``compare_q`` groups each tuple's indices once for both ciphers and runs on
-integers: both ciphers' masses become numerators over one common
-denominator (the lcm of every mass denominator on both sides), and the
-sorted profiles, block masses, column sums, majorization verdicts (integer
-prefix sums) and metrics are computed on those numerators by the kernels
-behind ``majorize.compare``, ``metrics.variation_to_uniform`` and
+integers: both ciphers' stored numerators are scaled to one common
+denominator (the lcm of the two distributions' denominators), and the sorted
+profiles, block masses, column sums, majorization verdicts (integer prefix
+sums) and metrics are computed on those numerators by the kernels behind
+``majorize.compare``, ``metrics.variation_to_uniform`` and
 ``metrics.guesswork``.  Only the four metric values of a tuple become
 ``Fraction``s; ``project`` and the reports keep ``Fraction``s at the API.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from .dist import CipherDist
 from .groups import GroupTable, check_points
-from .majorize import MajorizationVerdict, Relation, _numerators, _verdict
+from .majorize import MajorizationVerdict, Relation, _verdict
 from .metrics import _guesswork, _variation, guesswork, variation_to_uniform
 
 _ZERO = Fraction(0)
@@ -287,10 +288,10 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     with those verdicts, so the level verdict does not read them (the tests
     check that agreement).
 
-    Both ciphers' masses are converted once to integer numerators over the
-    lcm of all their denominators, and each tuple's image blocks are built
-    once and used for both; everything per tuple runs on ``int``s except the
-    four metric values, which are built as ``Fraction``s.
+    Both ciphers' stored numerators are scaled once to the lcm of their two
+    denominators, and each tuple's image blocks are built once and used for
+    both; everything per tuple runs on ``int``s except the four metric
+    values, which are built as ``Fraction``s.
     """
     if left.group != right.group:
         raise ValueError("ciphers live on different groups")
@@ -298,8 +299,9 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     if not 0 <= q_max <= m:
         raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
     order = left.group.order
-    nums, den = _numerators(left.mass + right.mass)
-    left_nums, right_nums = nums[:order], nums[order:]
+    den = math.lcm(left.den, right.den)
+    left_nums = [n * (den // left.den) for n in left.nums]
+    right_nums = [n * (den // right.den) for n in right.nums]
     columns = _image_columns(left.group)
     levels = []
     for q in range(q_max + 1):

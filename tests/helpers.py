@@ -270,9 +270,19 @@ def compare_q_oracle(left: CipherDist, right: CipherDist, q_max: int) -> Compari
     return ComparisonReport(tuple(levels), overall)
 
 
-def dist_over(rng: random.Random, group: GroupTable, total: int) -> CipherDist:
+def dist_over(
+    rng: random.Random,
+    group: GroupTable,
+    total: int,
+    subgroup: GroupTable | None = None,
+) -> CipherDist:
     """Random distribution whose masses are w / total for integer weights
-    w summing to total, so every denominator divides total."""
-    cuts = sorted(rng.randint(0, total) for _ in range(group.order - 1))
+    w summing to total, so every denominator divides total; supported
+    inside ``subgroup`` if one is given."""
+    indices = group.indices_of(subgroup) if subgroup is not None else range(group.order)
+    cuts = sorted(rng.randint(0, total) for _ in range(len(indices) - 1))
     weights = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-    return CipherDist(group, tuple(Fraction(w, total) for w in weights))
+    mass = [Fraction(0)] * group.order
+    for i, w in zip(indices, weights):
+        mass[i] = Fraction(w, total)
+    return CipherDist(group, tuple(mass))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -205,6 +206,15 @@ def test_metrics_large_renyi_order_prints_quickly(tmp_path):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("order", ["600.5", "999.5"])
+def test_metrics_renyi_order_whose_powers_underflow(tmp_path, capsys, order):
+    # (1/4)^order underflows to 0.0 in floats; the largest mass is then
+    # factored out, and the uniform vector on 4 points has entropy 2
+    dist = write(tmp_path, "q.vec", "1/4 1/4 1/4 1/4")
+    assert main(["metrics", dist, "--renyi", order]) == 0
+    assert f"renyi_entropy_bits[{Fraction(order)}]\t2\n" in capsys.readouterr().out
+
+
 def test_vector_token_exponent_at_the_bound_is_read(tmp_path, capsys):
     x = write(tmp_path, "x.vec", "1e4300 0e-4300")
     y = write(tmp_path, "y.vec", "1E+4300 0")
@@ -311,6 +321,34 @@ def test_compare_sym4_full_sweep_golden_output(tmp_path, capsys):
     assert main(argv) == 1  # the second pair is mixed at q = 1
     assert capsys.readouterr().out == (DATA / "compare_sym4.out").read_text()
     assert csv_path.read_bytes() == (DATA / "compare_sym4.csv").read_bytes()
+
+
+# expand, collapse and two-round general-collapse on sym(5) for a point
+# stabilizer and for the normal subgroup A5 = <(0 1 2), (2 3 4)>, whose
+# conjugates all equal it: the expansion assumption fails, so the expand and
+# collapse reports fail (exit 1)
+SYM5_EXPERIMENTS = [
+    [*command, "--group", "sym(5)", "--subgroup", subgroup, "--pi", pi]
+    for subgroup, pi in (
+        ("stab(5, 4)", "[1,2,3,4,0]"),
+        ("gen([[1,2,0,3,4],[0,1,3,4,2]])", "[1,0,2,3,4]"),
+    )
+    for command in (["expand"], ["collapse"], ["general-collapse", "--rounds", "2"])
+]
+
+
+def test_experiments_sym5_golden_output(tmp_path, capsys):
+    """Each run's command line, stdout and exit code, and its CSV, appended
+    in order."""
+    out, csv = [], []
+    csv_path = tmp_path / "report.csv"
+    for argv in SYM5_EXPERIMENTS:
+        rc = main([*argv, "--csv", str(csv_path)])
+        stdout = capsys.readouterr().out
+        out.append(f"$ cipherorder {shlex.join(argv)} --csv <csv>\n{stdout}exit {rc}\n")
+        csv.append(csv_path.read_bytes())
+    assert "".join(out) == (DATA / "experiments_sym5.out").read_text()
+    assert b"".join(csv) == (DATA / "experiments_sym5.csv").read_bytes()
 
 
 MIXED_SCENARIO = {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from cipherorder.dist import (
     uniform_on_elements,
 )
 from cipherorder.groups import (
+    GroupTable,
     closure,
+    cyclic_group,
     double_coset,
     stabilizer,
     symmetric_group,
@@ -24,6 +27,7 @@ from cipherorder.perms import cycle, identity, transposition
 
 from helpers import (
     convolve_oracle,
+    dist_over,
     random_dist,
     random_dist_on,
     random_subgroup,
@@ -36,12 +40,46 @@ H01 = closure([transposition(3, 0, 1)])
 PI = transposition(3, 1, 2)
 
 
+def test_public_constructor_contract():
+    # values and types of the accessors, for the public constructor and for
+    # distributions the library builds
+    masses = tuple(Fraction(n, 6) for n in (3, 0, 2, 0, 1, 0))
+    public = CipherDist(S3, masses)
+    point = deterministic(S3, PI)
+    point_masses = tuple(Fraction(int(g == PI)) for g in S3)
+    for x, want in ((public, masses), (point, point_masses)):
+        assert x.group is S3 and type(x.group) is GroupTable
+        assert x.mass == want and all(type(m) is Fraction for m in x.mass)
+        for g, m in zip(S3, want):
+            assert x.mass_of(g) == m and type(x.mass_of(g)) is Fraction
+        support = tuple(i for i, m in enumerate(want) if m)
+        assert x.support() == support and all(type(i) is int for i in support)
+        assert x.support_size() == len(support) and type(x.support_size()) is int
+    # integer masses are read as Fractions, and the stored form is reduced
+    ints = CipherDist(S3, (1, 0, 0, 0, 0, 0))
+    assert ints == deterministic(S3, S3.element(0))
+    assert all(type(m) is Fraction for m in ints.mass)
+    assert (public.nums, public.den) == ((3, 0, 2, 0, 1, 0), 6)
+
+
+def test_from_numerators_reduces_and_checks():
+    x = CipherDist.from_numerators(S3, [4, 0, 2, 0, 0, 6], 12)
+    assert (x.nums, x.den) == ((2, 0, 1, 0, 0, 3), 6)
+    assert x == CipherDist(S3, tuple(Fraction(n, 6) for n in (2, 0, 1, 0, 0, 3)))
+    with pytest.raises(ValueError, match="mass length"):
+        CipherDist.from_numerators(S3, [1], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CipherDist.from_numerators(S3, [2, -1, 0, 0, 0, 0], 1)
+    with pytest.raises(ValueError, match="sum to 1"):
+        CipherDist.from_numerators(S3, [1, 1, 0, 0, 0, 0], 1)
+
+
 def test_cipher_dist_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mass length 2 != group order 6$"):
         CipherDist(S3, (Fraction(1),) * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masses must sum to 1, got 3$"):
         CipherDist(S3, tuple([Fraction(1, 2)] * 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masses must be nonnegative$"):
         CipherDist(S3, (Fraction(2), Fraction(-1)) + (Fraction(0),) * 4)
 
 
@@ -263,3 +301,68 @@ def test_uniform_product_on_double_coset():
                 assert verdict.is_strictly_below
             else:
                 assert verdict.is_equal
+
+
+# sym(1) has degree 1, where operator.itemgetter of one index returns a
+# scalar; sym(2) and cyclic(4) are the other small and abelian cases
+DIFFERENTIAL_GROUPS = {
+    "sym(1)": symmetric_group(1),
+    "sym(2)": symmetric_group(2),
+    "cyclic(4)": cyclic_group(4),
+    "S3": S3,
+    "S4": S4,
+    "S5": symmetric_group(5),
+}
+
+
+def point_mass(group, g):
+    """A point mass built through the public constructor."""
+    return CipherDist(group, tuple(Fraction(int(h == g)) for h in group))
+
+
+def assert_exact(result, expected):
+    """``result`` is stored in lowest terms and equals, hash-equal, the
+    distribution built from ``expected``'s Fraction masses through the
+    public constructor."""
+    assert math.gcd(result.den, *result.nums) == 1
+    public = CipherDist(expected.group, tuple(expected.mass))
+    assert result == public and hash(result) == hash(public)
+    assert result.mass == expected.mass
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_GROUPS))
+def test_integer_kernels_equal_fraction_oracle(name):
+    group = DIFFERENTIAL_GROUPS[name]
+    rng = random.Random(f"integer-kernels:{name}")
+    draws = 4 if group.order > 24 else 10
+    for _ in range(draws):
+        h = random_subgroup(rng, group)
+        k = random_subgroup(rng, group)
+        # pairs over coprime totals, so the product denominator is mixed
+        for left_total, right_total in ((32, 27), (25, 49)):
+            x = dist_over(rng, group, left_total, h)
+            z = dist_over(rng, group, right_total, k)
+            dense = dist_over(rng, group, left_total)
+            for left, right in ((x, z), (z, x), (dense, z), (x, dense)):
+                assert_exact(convolve(left, right), convolve_oracle(left, right))
+            g = rng.choice(group.elements)
+            assert_exact(translate(g, z), convolve_oracle(point_mass(group, g), z))
+            pi = rng.choice(group.elements)
+            expected = convolve_oracle(x, convolve_oracle(point_mass(group, pi), z))
+            decomp = triple_decompose(x, pi, z, h, k)
+            assert_exact(decomp.mixture(), expected)
+            assert sum(decomp.weights) == 1
+            for part in decomp.parts:
+                assert math.gcd(part.den, *part.nums) == 1
+        # sparse factors with their own denominators, and point masses
+        u = random_dist_on(rng, group, h)
+        v = random_dist_on(rng, group, k)
+        g = rng.choice(group.elements)
+        e = point_mass(group, g)
+        for left, right in ((u, v), (e, v), (u, e)):
+            assert_exact(convolve(left, right), convolve_oracle(left, right))
+        assert_exact(deterministic(group, g), e)
+        inside = set(group.indices_of(h))
+        share = Fraction(1, h.order)
+        uniform = tuple(share if i in inside else 0 for i in range(group.order))
+        assert_exact(uniform_on_elements(group, h), CipherDist(group, uniform))

@@ -75,6 +75,22 @@ def test_renyi_entropy_above_exact_bound_matches_power_sum():
         assert low + TOL >= mid >= high - TOL
 
 
+def test_renyi_entropy_where_float_powers_underflow():
+    # below RENYI_EXACT_MAX_ORDER every x_i^a of these vectors underflows to
+    # 0.0 at a = 999.5; the value must lie between the exact power-sum values
+    # at the neighbouring integer orders (Renyi entropy is nonincreasing)
+    order = F(1999, 2)
+    for x in (
+        [F(1, 3)] * 3,
+        [F(2, 5), F(3, 10), F(3, 10)],
+        [F(1, 4), F(1, 4), F(1, 3), F(1, 6)],
+    ):
+        assert sum(float(f) ** float(order) for f in x) == 0.0
+        high, low = renyi_entropy(x, 999), renyi_entropy(x, 1000)
+        assert high + TOL >= renyi_entropy(x, order) >= low - TOL
+    assert renyi_entropy([F(1, 4)] * 4, F(1201, 2)) == 2.0
+
+
 def test_renyi_entropy_at_huge_orders_is_min_entropy():
     x = [F(1, 2), F(1, 4), F(1, 4)]
     for order in (10**9, F(10**4300), 10**5000):
