@@ -63,35 +63,33 @@ def renyi_entropy(x: Sequence, order) -> float:
     """Renyi entropy of the given order in bits (order > 0, order != 1).
 
     Integer orders up to ``RENYI_EXACT_MAX_ORDER`` go through the exact
-    power sum, other orders up to it through the float sum of x_i^a.  Above
-    that bound, and where every x_i^a underflows to 0.0, the largest mass
-    x_max is factored out (see ``_renyi_factored``).
+    power sum.  Every other order factors out the largest mass x_max in
+    floats (see ``_renyi_factored``), so no power sum underflows.
     """
     if order <= 0:
         raise ValueError(f"Renyi order must be positive, got {order}")
     if order == 1:
         raise ValueError("order 1 is Shannon entropy; call shannon_entropy")
     xs = _coerce_prob(x)
-    if order > RENYI_EXACT_MAX_ORDER:
-        try:
-            a = float(order)
-        except OverflowError:
-            a = math.inf
-        return _renyi_factored(xs, a)
-    if isinstance(order, Rational) and Fraction(order).denominator == 1:
+    if (
+        order <= RENYI_EXACT_MAX_ORDER
+        and isinstance(order, Rational)
+        and Fraction(order).denominator == 1
+    ):
         power = renyi_power_sum(xs, int(order))
         return _log2_fraction(power) / (1 - int(order))
-    a = float(order)
-    total = sum(float(f) ** a for f in xs if f > 0)
-    if total == 0.0:
-        return _renyi_factored(xs, a)
-    return math.log2(total) / (1 - a)
+    try:
+        a = float(order)
+    except OverflowError:
+        a = math.inf
+    return _renyi_factored(xs, a)
 
 
 def _renyi_factored(xs: list[Fraction], a: float) -> float:
     """Renyi entropy of order a with the largest mass x_max factored out:
     log2 sum x_i^a = a log2 x_max + log2 sum (x_i / x_max)^a, whose sum is
-    at least 1, so no power overflows or underflows to a zero total."""
+    at least 1, so the total neither underflows nor loses precision to
+    subnormals."""
     top = max(xs)
     log_top = _log2_fraction(top)
     ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)

@@ -215,6 +215,14 @@ def test_metrics_renyi_order_whose_powers_underflow(tmp_path, capsys, order):
     assert f"renyi_entropy_bits[{Fraction(order)}]\t2\n" in capsys.readouterr().out
 
 
+def test_metrics_renyi_order_whose_power_sum_is_subnormal(tmp_path, capsys):
+    # the float sum of x_i^912.5 is about 4.3e-322, a subnormal that keeps
+    # only a few bits; a 60-digit decimal evaluation gives 1.17120851763
+    dist = write(tmp_path, "s.vec", "1/9 1/9 4/9 1/3")
+    assert main(["metrics", dist, "--renyi", "912.5"]) == 0
+    assert "renyi_entropy_bits[1825/2]\t1.17120851763\n" in capsys.readouterr().out
+
+
 def test_vector_token_exponent_at_the_bound_is_read(tmp_path, capsys):
     x = write(tmp_path, "x.vec", "1e4300 0e-4300")
     y = write(tmp_path, "y.vec", "1E+4300 0")

@@ -76,9 +76,9 @@ def test_renyi_entropy_above_exact_bound_matches_power_sum():
 
 
 def test_renyi_entropy_where_float_powers_underflow():
-    # below RENYI_EXACT_MAX_ORDER every x_i^a of these vectors underflows to
-    # 0.0 at a = 999.5; the value must lie between the exact power-sum values
-    # at the neighbouring integer orders (Renyi entropy is nonincreasing)
+    # every float x_i^a of these vectors underflows to 0.0 at a = 999.5; the
+    # value must lie between the exact power-sum values at the neighbouring
+    # integer orders (Renyi entropy is nonincreasing)
     order = F(1999, 2)
     for x in (
         [F(1, 3)] * 3,
