@@ -2,7 +2,10 @@
 
 Every pass/fail is computed: expected values come from the closed-form
 counts (orbit-stabilizer, factorials), actual values from convolution,
-decomposition, majorization and the q-query metrics.  Identical inputs
+decomposition, majorization and the q-query metrics.  Majorization verdicts,
+entropies and guesswork are taken on each distribution's integer numerators
+by the kernels behind ``majorize.compare`` and ``metrics``, with the same
+values those functions give on the ``Fraction`` masses.  Identical inputs
 produce byte-identical reports.
 """
 
@@ -33,8 +36,8 @@ from .groups import (
     stabilizer,
     symmetric_group,
 )
-from .majorize import Relation, compare
-from .metrics import ENTROPY_TOLERANCE, guesswork, shannon_entropy
+from .majorize import MajorizationVerdict, Relation, _verdict
+from .metrics import ENTROPY_TOLERANCE, _guesswork, _shannon
 from .perms import Permutation
 from .qsecurity import Direction, compare_q
 
@@ -104,6 +107,24 @@ def _assumption_row(rows: _Rows, h: GroupTable, h_pi: GroupTable) -> bool:
     return holds
 
 
+def _majorization(x: CipherDist, y: CipherDist) -> MajorizationVerdict:
+    """The verdict ``majorize.compare`` gives on the masses of ``x`` and
+    ``y``, from their numerators over ``lcm(x.den, y.den)``."""
+    den = math.lcm(x.den, y.den)
+    return _verdict(_desc_over(x, den), _desc_over(y, den))
+
+
+def _desc_over(x: CipherDist, den: int) -> list[int]:
+    """The numerators of ``x`` over ``den``, a multiple of ``x.den``, in
+    decreasing order."""
+    scale = den // x.den
+    return sorted([n * scale for n in x.nums], reverse=True)
+
+
+def _guesswork_of(x: CipherDist) -> Fraction:
+    return _guesswork(sorted(x.nums, reverse=True), x.den)
+
+
 def _direction_rows(
     rows: _Rows, label: str, left: CipherDist, right: CipherDist, q_max: int
 ) -> None:
@@ -155,7 +176,7 @@ def run_expand(
     rows.exact("support_expansion", True, t.support_size() > d.support_size())
     rows.exact("T_uniform_on_HpiH", True, t == uniform_on(group, dc.elements))
 
-    verdict = compare(t.mass, d.mass)
+    verdict = _majorization(t, d)
     rows.exact(
         "majorization_t_vs_d", Relation.STRICTLY_BELOW.value, verdict.relation.value
     )
@@ -166,17 +187,13 @@ def run_expand(
     rows.exact(
         "decomposition_parts_majorized_by_z",
         True,
-        all(compare(part.mass, x.mass).is_below for part in decomp.parts),
+        all(_majorization(part, x).is_below for part in decomp.parts),
     )
 
-    rows.close("entropy_T_bits", math.log2(t.support_size()), shannon_entropy(t.mass))
-    rows.close("entropy_D_bits", math.log2(d.support_size()), shannon_entropy(d.mass))
-    rows.exact(
-        "guesswork_T", Fraction(t.support_size() + 1, 2), guesswork(t.mass)
-    )
-    rows.exact(
-        "guesswork_D", Fraction(d.support_size() + 1, 2), guesswork(d.mass)
-    )
+    rows.close("entropy_T_bits", math.log2(t.support_size()), _shannon(t.nums, t.den))
+    rows.close("entropy_D_bits", math.log2(d.support_size()), _shannon(d.nums, d.den))
+    rows.exact("guesswork_T", Fraction(t.support_size() + 1, 2), _guesswork_of(t))
+    rows.exact("guesswork_D", Fraction(d.support_size() + 1, 2), _guesswork_of(d))
 
     _direction_rows(rows, "T_vs_D", t, d, q_max)
     return ExperimentResult("expand", rows.done())
@@ -215,7 +232,7 @@ def run_collapse(
     dc = double_coset(group, subgroup, pi, subgroup)
     rows.exact("support_D", len(dc.elements), d.support_size())
 
-    verdict = compare(d.mass, t.mass)
+    verdict = _majorization(d, t)
     rows.exact(
         "majorization_d_vs_t", Relation.STRICTLY_BELOW.value, verdict.relation.value
     )
@@ -272,7 +289,7 @@ def run_general_collapse(
         rows.exact(
             f"r{r}_majorization_x_vs_e",
             expected_verdict.value,
-            compare(x_prod.mass, e.mass).relation.value,
+            _majorization(x_prod, e).relation.value,
         )
     return ExperimentResult("general-collapse", rows.done())
 
@@ -303,9 +320,9 @@ def run_amplifier(n: int) -> ExperimentResult:
     rows.exact("T_uniform_on_double_coset", True, t == uniform_on(group, dc.elements))
     rows.exact("supp_D_equals_sym_M", True, set(d.support()) == set(group.indices_of(sub)))
 
-    fix_mass = sum(
-        (d.mass[i] for i, g in enumerate(group.elements) if g.fixes(fixed_point)),
-        Fraction(0),
+    fix_mass = Fraction(
+        sum(n for n, w in zip(d.nums, group.words) if w[fixed_point] == fixed_point),
+        d.den,
     )
     rows.exact("D_fixes_distinguished_point", Fraction(1), fix_mass)
     ideal_fix = Fraction(factorial(space - 1), factorial(space))

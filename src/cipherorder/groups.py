@@ -2,9 +2,13 @@
 
 Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
-element-for-element identical.  Everything is desk scale by design: this
-module alone decides the element-count cap, ``DEFAULT_CAP``, and refuses a
-larger group before enumerating it where its order is known in advance.
+element-for-element identical.  The module is words-first: every group is
+built, compared, filtered, conjugated and closed as sorted image tuples
+("words"), and ``Permutation`` objects appear only at the API (arguments,
+``GroupTable.elements``, coset representatives).  Everything is desk scale
+by design: this module alone decides the element-count cap,
+``DEFAULT_CAP``, and refuses a larger group before enumerating it where its
+order is known in advance.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import permutations as _words
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .perms import Permutation, compose, identity
+from .perms import Permutation
 
 DEFAULT_CAP = 50_000
 
@@ -29,53 +33,85 @@ def over_cap(name: str, cap: int = DEFAULT_CAP) -> GroupSizeError:
     return GroupSizeError(f"{name} has more than {cap} elements, the group-size cap")
 
 
+def _right_factor(w: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map a -> the word of a * w (``w`` acts first): one C-level
+    ``operator.itemgetter`` call."""
+    if len(w) > 1:
+        return itemgetter(*w)
+    # itemgetter of a single index returns a scalar, not a 1-tuple
+    return lambda a, k=w[0]: (a[k],)
+
+
 class GroupTable:
     """A finite permutation group with canonically ordered, indexed elements.
 
-    ``elements`` is sorted lexicographically on image tuples and ``words``
-    holds those elements' own image tuples.  ``index`` maps a permutation
-    back to its position and ``mul`` multiplies two positions; every index
-    a table takes or returns refers to this table's ordering, never to a
-    subgroup's or a supergroup's.  Instances are immutable and safe to share
-    across threads.
+    ``words`` holds the elements' image tuples, sorted lexicographically,
+    and ``elements`` the same elements as ``Permutation``s, built on first
+    read.  ``index`` maps a permutation back to its position and ``mul``
+    multiplies two positions; every index a table takes or returns refers to
+    this table's ordering, never to a subgroup's or a supergroup's.
+    Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("degree", "elements", "words", "_index")
+    __slots__ = ("degree", "words", "_index", "_elements")
 
-    def __init__(self, elements: Iterable[Permutation], *, _trusted: bool = False):
-        elems = sorted(set(elements))
-        if not elems:
+    def __init__(self, elements: Iterable[Permutation]):
+        words = sorted({e.images for e in elements})
+        if not words:
             raise ValueError("a group needs at least the identity element")
-        degree = elems[0].degree
-        if any(e.degree != degree for e in elems):
+        degree = len(words[0])
+        if any(len(w) != degree for w in words):
             raise ValueError("all elements must share one degree")
-        self.degree = degree
-        self.elements: tuple[Permutation, ...] = tuple(elems)
-        self.words: tuple[tuple[int, ...], ...] = tuple(e.images for e in elems)
+        self._set(words)
+        self._check_group()
+
+    @classmethod
+    def _from_words(cls, words: Sequence[tuple[int, ...]]) -> GroupTable:
+        """The table of a group given as its sorted, distinct words; the
+        caller guarantees that they form a group."""
+        table = object.__new__(cls)
+        table._set(words)
+        return table
+
+    def _set(self, words: Sequence[tuple[int, ...]]) -> None:
+        self.words: tuple[tuple[int, ...], ...] = tuple(words)
+        self.degree = len(self.words[0])
         self._index: dict[tuple[int, ...], int] = {w: i for i, w in enumerate(self.words)}
-        if not _trusted:
-            self._check_group()
+        self._elements: tuple[Permutation, ...] | None = None
 
     def _check_group(self) -> None:
-        if identity(self.degree) not in self:
+        """Identity and closure, scanning pairs (a, b) in canonical order so
+        that the message names the first product outside the set."""
+        if tuple(range(self.degree)) not in self._index:
             raise ValueError("element set does not contain the identity")
-        for a in self.elements:
-            for b in self.elements:
-                if compose(a, b) not in self:
-                    raise ValueError(
-                        f"element set not closed under composition: {a} * {b}"
-                    )
+        words = self.words
+        row = self.right_products(range(len(words)))
+        for i, a in enumerate(words):
+            try:
+                row(i)
+            except KeyError:
+                b = next(w for w in words if _right_factor(w)(a) not in self._index)
+                raise ValueError(
+                    "element set not closed under composition: "
+                    f"{Permutation(a)} * {Permutation(b)}"
+                ) from None
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(Permutation, self.words))
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     @property
     def identity(self) -> Permutation:
-        return self.elements[self.index(identity(self.degree))]
+        return Permutation(tuple(range(self.degree)))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -97,7 +133,7 @@ class GroupTable:
         a = self.words[i]
         return self._index[tuple([a[k] for k in self.words[j]])]
 
-    def right_products(self, js: Sequence[int]) -> Callable[[int], list[int]]:
+    def right_products(self, js: Iterable[int]) -> Callable[[int], list[int]]:
         """The map i -> ``[mul(i, j) for j in js]``.
 
         Each ``words[j]`` becomes an ``operator.itemgetter`` once, so every
@@ -105,11 +141,7 @@ class GroupTable:
         loops of ``dist`` call this instead of ``mul``.
         """
         index, words = self._index, self.words
-        # itemgetter of a single index returns a scalar, not a 1-tuple
-        getters = [
-            itemgetter(*w) if len(w) > 1 else (lambda a, k=w[0]: (a[k],))
-            for w in (words[j] for j in js)
-        ]
+        getters = [_right_factor(words[j]) for j in js]
 
         def row(i: int) -> list[int]:
             a = words[i]
@@ -118,26 +150,35 @@ class GroupTable:
         return row
 
     def indices_of(self, elems: Iterable[Permutation]) -> tuple[int, ...]:
-        """Sorted positions of the given elements in this group's ordering."""
-        return tuple(sorted(self.index(e) for e in elems))
+        """Sorted positions of the given elements in this group's ordering;
+        a ``GroupTable`` is read through its words."""
+        words = elems.words if isinstance(elems, GroupTable) else (e.images for e in elems)
+        try:
+            return tuple(sorted([self._index[w] for w in words]))
+        except KeyError as exc:
+            word = exc.args[0]
+            raise ValueError(f"{Permutation(word)} is not an element of this group") from None
 
     def is_subgroup_of(self, parent: "GroupTable") -> bool:
-        return self.degree == parent.degree and all(e in parent for e in self.elements)
+        return self.degree == parent.degree and all(
+            map(parent._index.__contains__, self.words)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupTable):
             return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
+        return self.words == other.words
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash(self.words)
 
     def __repr__(self) -> str:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
 def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupTable:
-    """The group generated by ``generators``, enumerated breadth-first.
+    """The group generated by ``generators``, enumerated breadth-first on
+    image tuples.
 
     Raises ``GroupSizeError`` if the group would exceed ``cap`` elements.
     """
@@ -147,33 +188,39 @@ def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupT
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share one degree")
-    seen: set[Permutation] = {identity(degree)}
-    frontier: list[Permutation] = list(seen)
+    gen_words = [g.images for g in gens]
+    seen: set[tuple[int, ...]] = {tuple(range(degree))}
+    frontier: list[tuple[int, ...]] = list(seen)
     while frontier:
-        new: list[Permutation] = []
-        for g in gens:
-            for b in frontier:
-                c = compose(g, b)
+        new: list[tuple[int, ...]] = []
+        for b in frontier:
+            times_b = _right_factor(b)
+            for g in gen_words:
+                c = times_b(g)
                 if c not in seen:
                     seen.add(c)
                     new.append(c)
                     if len(seen) > cap:
                         raise over_cap("generated group", cap)
         frontier = new
-    return GroupTable(seen, _trusted=True)
+    return GroupTable._from_words(sorted(seen))
 
 
 def symmetric_group(m: int) -> GroupTable:
     """All permutations of {0..m-1}; m! is checked against the cap by a
-    running product that stops as soon as it passes the cap."""
+    running product that stops as soon as it passes the cap.
+    ``itertools.permutations`` yields the words in lexicographic order."""
     if m < 0:
         raise ValueError(f"sym({m}): degree must be nonnegative")
+    if m == 0:
+        # the refusal of Permutation(()), the one word of degree 0
+        raise ValueError("permutation degree must be at least 1")
     order = 1
     for k in range(2, m + 1):
         order *= k
         if order > DEFAULT_CAP:
             raise over_cap(f"sym({m})")
-    return GroupTable((Permutation(w) for w in _words(range(m))), _trusted=True)
+    return GroupTable._from_words(tuple(_words(range(m))))
 
 
 def cyclic_group(m: int) -> GroupTable:
@@ -197,17 +244,17 @@ def check_points(points: tuple[int, ...], degree: int) -> None:
 def stabilizer(group: GroupTable, points: tuple[int, ...]) -> GroupTable:
     """Subgroup of elements fixing every point of ``points`` (pointwise)."""
     check_points(points, group.degree)
-    fixed = [g for g in group if all(g.images[q] == q for q in points)]
-    return GroupTable(fixed, _trusted=True)
+    fixed = list(points)
+    return GroupTable._from_words([w for w in group.words if [w[q] for q in points] == fixed])
 
 
 def conjugate_subgroup(pi: Permutation, subgroup: GroupTable) -> GroupTable:
     """The conjugate group pi * K * pi^-1."""
     if pi.degree != subgroup.degree:
         raise ValueError(f"degree mismatch: {pi.degree} vs {subgroup.degree}")
-    pi_inv = pi.inverse()
-    return GroupTable(
-        (compose(compose(pi, k), pi_inv) for k in subgroup), _trusted=True
+    p, inv = pi.images, pi.inverse().images
+    return GroupTable._from_words(
+        sorted(tuple([p[k[j]] for j in inv]) for k in subgroup.words)
     )
 
 
@@ -215,7 +262,7 @@ def intersection(a: GroupTable, b: GroupTable) -> GroupTable:
     """Intersection of two groups of equal degree (always a group)."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return GroupTable((g for g in a if g in b), _trusted=True)
+    return GroupTable._from_words([w for w in a.words if w in b._index])
 
 
 @dataclass(frozen=True)
@@ -246,13 +293,14 @@ def left_cosets(parent: GroupTable, subgroup: GroupTable) -> CosetDecomposition:
     assigned = [False] * parent.order
     transversal: list[Permutation] = []
     blocks: list[tuple[int, ...]] = []
-    for i, g in enumerate(parent.elements):
+    row = parent.right_products(sub)
+    for i, word in enumerate(parent.words):
         if assigned[i]:
             continue
-        block = sorted(parent.mul(i, h) for h in sub)
+        block = sorted(row(i))
         for j in block:
             assigned[j] = True
-        transversal.append(g)
+        transversal.append(Permutation(word))
         blocks.append(tuple(block))
     return CosetDecomposition(tuple(transversal), tuple(blocks))
 

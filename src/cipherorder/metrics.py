@@ -6,9 +6,10 @@ with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
 fall back to the exact Renyi power sum (integer orders) or the ``decimal``
 evaluation of Shannon entropy at configurable precision.
 
-Guesswork and variation distance take ``Fraction``s at the API and are
-computed on integer numerators over the lcm of the entries' denominators,
-by the same kernels the q-query sweep calls directly.
+Shannon entropy, guesswork and variation distance take ``Fraction``s at the
+API and are computed on integer numerators over the lcm of the entries'
+denominators, by the same kernels (``_shannon``, ``_guesswork``,
+``_variation``) that the q-query sweep and the experiments call directly.
 """
 
 from __future__ import annotations
@@ -53,10 +54,23 @@ def _log2_fraction(f: Fraction) -> float:
     return _log2_int(f.numerator) - _log2_int(f.denominator)
 
 
+def _plog2p(n: int, den: int) -> float:
+    """(n/den) * log2(n/den) for n > 0, the log taken of the mass in lowest
+    terms, as ``_log2_fraction`` of a ``Fraction`` would; ``n / den`` is the
+    correctly rounded quotient, which is ``float(Fraction(n, den))``."""
+    g = math.gcd(n, den)
+    return n / den * (_log2_int(n // g) - _log2_int(den // g))
+
+
+def _shannon(nums: Sequence[int], den: int) -> float:
+    """Shannon entropy in bits of integer numerators over ``den``, with
+    0*log(0) = 0, summed in index order."""
+    return -sum(_plog2p(n, den) for n in nums if n)
+
+
 def shannon_entropy(x: Sequence) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
-    xs = _coerce_prob(x)
-    return -sum(float(f) * _log2_fraction(f) for f in xs if f > 0)
+    return _shannon(*_numerators(_coerce_prob(x)))
 
 
 def renyi_entropy(x: Sequence, order) -> float:

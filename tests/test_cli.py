@@ -577,6 +577,13 @@ def test_bad_group_spec_names_the_field(tmp_path, capsys, spec):
             assert "50000 elements, the group-size cap" in captured.err
 
 
+def test_degree_zero_group_keeps_its_error(capsys):
+    argv = ["expand", "--group", "sym(0)", "--subgroup", "sym(3)", "--pi", "[0,1,2]"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --group: permutation degree must be at least 1\n"
+
+
 def test_experiment_failure_exit_code(capsys):
     # normal subgroup: the expansion verdicts genuinely fail -> exit 1
     code = main(

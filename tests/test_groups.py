@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -80,10 +81,20 @@ def test_closure_idempotent():
 
 
 def test_group_table_rejects_non_closed_sets():
-    with pytest.raises(ValueError):
-        GroupTable([identity(3), cycle(3, (0, 1, 2))])
-    with pytest.raises(ValueError):
-        GroupTable([transposition(3, 0, 1)])  # no identity
+    # the message names the first product outside the set, scanning a, then b
+    cases = [
+        ([identity(3), cycle(3, (0, 1, 2))], "[1,2,0] * [1,2,0]"),
+        (
+            [identity(4), transposition(4, 0, 1), transposition(4, 2, 3)],
+            "[0,1,3,2] * [1,0,2,3]",
+        ),
+    ]
+    for elements, pair in cases:
+        with pytest.raises(ValueError) as info:
+            GroupTable(elements)
+        assert str(info.value) == f"element set not closed under composition: {pair}"
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        GroupTable([transposition(3, 0, 1)])
 
 
 def test_mul_matches_compose():
@@ -216,3 +227,42 @@ def test_randomized_lagrange_and_orbit_stabilizer():
             for rep, block in zip(dc.left_reps, dc.left_blocks):
                 assert group.index(rep) == block[0]
                 assert block == tuple(sorted(group.index(compose(rep, b)) for b in k))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_symmetric_group_equals_the_public_constructor(m):
+    public = GroupTable(Permutation(w) for w in permutations(range(m)))
+    built = symmetric_group(m)
+    assert built == public
+    assert hash(built) == hash(public)
+    assert built.words == public.words
+    assert built.elements == public.elements
+
+
+def assert_table(table, expected):
+    """``table`` holds exactly the permutations ``expected``, in canonical
+    order, with ``elements`` built from its words."""
+    assert set(table.elements) == expected
+    assert list(table.words) == sorted(table.words)
+    assert table.elements == tuple(Permutation(w) for w in table.words)
+    assert table == GroupTable(expected)
+
+
+def test_words_first_constructors_match_the_oracle():
+    rng = random.Random(11)
+    for group in (S3, S4, symmetric_group(5)):
+        for _ in range(6):
+            h, k = random_subgroup(rng, group), random_subgroup(rng, group)
+            gens = [rng.choice(group.elements) for _ in range(2)]
+            assert_table(closure(gens), enumerate_subgroup_oracle(gens))
+
+            pi = rng.choice(group.elements)
+            conj = [compose(compose(pi, a), pi.inverse()) for a in h]
+            assert_table(conjugate_subgroup(pi, h), enumerate_subgroup_oracle(conj))
+
+            both = [g for g in h if g in k]
+            assert_table(intersection(h, k), enumerate_subgroup_oracle(both))
+
+            points = tuple(rng.sample(range(group.degree), rng.randrange(3)))
+            fixing = [g for g in group if all(g.fixes(q) for q in points)]
+            assert_table(stabilizer(group, points), enumerate_subgroup_oracle(fixing))

@@ -10,6 +10,7 @@ from cipherorder.majorize import compare
 from cipherorder.metrics import (
     RENYI_EXACT_MAX_ORDER,
     _log2_fraction,
+    _shannon,
     alpha_guesswork,
     guesswork,
     marginal_guesswork,
@@ -48,6 +49,52 @@ def test_shannon_entropy_examples():
     assert shannon_entropy([F(1, 4)] * 4) == pytest.approx(2.0, abs=TOL)
     assert shannon_entropy([F(1), F(0), F(0)]) == pytest.approx(0.0, abs=TOL)
     assert shannon_entropy([F(1, 2), F(1, 4), F(1, 4)]) == pytest.approx(1.5, abs=TOL)
+
+
+def shannon_reference(masses):
+    """The Fraction evaluation the integer kernel must reproduce bit for bit."""
+    return -sum(float(f) * _log2_fraction(f) for f in masses if f > 0)
+
+
+@st.composite
+def numerators_over(draw):
+    """Numerators over one denominator, with zero entries and entries sharing
+    a factor with the denominator; the sizes past 53 bits send the
+    logarithms through the shift path of ``_log2_int``."""
+    bits = draw(st.sampled_from([8, 53, 80, 200]))
+    common = draw(st.integers(1, 2**bits))
+    den = common * draw(st.integers(1, 2**bits))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(1, 2**bits),
+        st.integers(1, 2**bits).map(lambda n: n * common),
+    )
+    return draw(st.lists(entry, min_size=1, max_size=12)), den
+
+
+@given(numerators_over())
+def test_shannon_kernel_is_bit_identical_to_the_fraction_sum(case):
+    nums, den = case
+    assert _shannon(nums, den) == shannon_reference([F(n, den) for n in nums])
+
+
+@given(prob_vectors())
+def test_shannon_entropy_is_bit_identical_to_the_fraction_sum(x):
+    assert shannon_entropy(x) == shannon_reference(x)
+
+
+@pytest.mark.parametrize(
+    "nums, den",
+    [
+        ([0, 3, 12], 15),
+        ([0, 3742202545752871263, 1042957325038372410], 4785159870791243673),
+    ],
+)
+def test_shannon_kernel_reduces_each_term(nums, den):
+    # each case shares the factor 3 with its denominator, and its sum moves
+    # in the last bit if a term's log2 is taken of the unreduced pair; the
+    # second also passes 53 bits
+    assert _shannon(nums, den) == shannon_reference([F(n, den) for n in nums])
 
 
 def test_renyi_entropy_examples():
