@@ -51,14 +51,9 @@ from .perms import Permutation, compose, cycle, from_cycles, identity, transposi
 from .qsecurity import (
     ComparisonReport,
     Direction,
-    ImageProjection,
     compare_q,
-    conditional_guesswork,
     conditional_guesswork_oracle,
     distinct_tuples,
-    max_ncpa_advantage,
-    ncpa_advantage,
-    project,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -71,7 +66,6 @@ __all__ = [
     "DoublyStochasticWitness",
     "GroupSizeError",
     "GroupTable",
-    "ImageProjection",
     "MajorizationVerdict",
     "Permutation",
     "Relation",
@@ -84,7 +78,6 @@ __all__ = [
     "compare",
     "compare_q",
     "compose",
-    "conditional_guesswork",
     "conditional_guesswork_oracle",
     "conjugate_subgroup",
     "convolve",
@@ -101,10 +94,7 @@ __all__ = [
     "intersection",
     "left_cosets",
     "marginal_guesswork",
-    "max_ncpa_advantage",
-    "ncpa_advantage",
     "parse_scenario",
-    "project",
     "renyi_entropy",
     "shannon_entropy",
     "stabilizer",

@@ -84,6 +84,16 @@ class CipherDist:
         return len(self.nums) - self.nums.count(0)
 
 
+def _common_numerators(
+    x: CipherDist, y: CipherDist
+) -> tuple[list[int], list[int], int]:
+    """The numerators of ``x`` and of ``y`` over their common denominator
+    ``lcm(x.den, y.den)``, and that denominator."""
+    den = math.lcm(x.den, y.den)
+    sx, sy = den // x.den, den // y.den
+    return [n * sx for n in x.nums], [n * sy for n in y.nums], den
+
+
 def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
     """Uniform distribution on a set of element indices."""
     indices = set(subset)

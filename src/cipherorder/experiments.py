@@ -20,6 +20,7 @@ from math import factorial
 
 from .dist import (
     CipherDist,
+    _common_numerators,
     convolve,
     deterministic,
     translate,
@@ -110,15 +111,8 @@ def _assumption_row(rows: _Rows, h: GroupTable, h_pi: GroupTable) -> bool:
 def _majorization(x: CipherDist, y: CipherDist) -> MajorizationVerdict:
     """The verdict ``majorize.compare`` gives on the masses of ``x`` and
     ``y``, from their numerators over ``lcm(x.den, y.den)``."""
-    den = math.lcm(x.den, y.den)
-    return _verdict(_desc_over(x, den), _desc_over(y, den))
-
-
-def _desc_over(x: CipherDist, den: int) -> list[int]:
-    """The numerators of ``x`` over ``den``, a multiple of ``x.den``, in
-    decreasing order."""
-    scale = den // x.den
-    return sorted([n * scale for n in x.nums], reverse=True)
+    xs, ys, _ = _common_numerators(x, y)
+    return _verdict(sorted(xs, reverse=True), sorted(ys, reverse=True))
 
 
 def _guesswork_of(x: CipherDist) -> Fraction:

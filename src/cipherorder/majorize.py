@@ -27,7 +27,6 @@ from .perms import Permutation
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -218,13 +217,6 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     return DoublyStochasticWitness(frozen, tuple(birkhoff_decompose(frozen)))
 
 
-def apply_matrix(matrix: Matrix, v: Sequence) -> Vector:
-    vs = nonnegative_rationals(v)
-    if len(vs) != len(matrix):
-        raise ValueError(f"vector length {len(vs)} != matrix size {len(matrix)}")
-    return tuple(sum(row[j] * vs[j] for j in range(len(vs))) for row in matrix)
-
-
 def _check_doubly_stochastic(matrix: Matrix) -> int:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -313,10 +305,3 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
         remaining -= weight
     assert len(terms) <= (n - 1) ** 2 + 1
     return terms
-
-
-def permutation_matrix(p: Permutation) -> Matrix:
-    n = p.degree
-    return tuple(
-        tuple(_ONE if p.images[i] == j else _ZERO for j in range(n)) for i in range(n)
-    )

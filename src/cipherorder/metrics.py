@@ -3,8 +3,7 @@
 Guesswork, marginal guesswork, alpha-guesswork and variation distance to
 uniformity are exact rationals; Shannon and Renyi entropy are floats (base-2)
 with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
-fall back to the exact Renyi power sum (integer orders) or the ``decimal``
-evaluation of Shannon entropy at configurable precision.
+fall back to the exact Renyi power sum (integer orders).
 
 Shannon entropy, guesswork and variation distance take ``Fraction``s at the
 API and are computed on integer numerators over the lcm of the entries'
@@ -15,7 +14,6 @@ denominators, by the same kernels (``_shannon``, ``_guesswork``,
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -122,20 +120,6 @@ def renyi_power_sum(x: Sequence, order: int) -> Fraction:
         raise ValueError("exact power sum needs integer order >= 1")
     nums, den = _numerators(_coerce_prob(x))
     return Fraction(sum(n**order for n in nums), den**order)
-
-
-def shannon_entropy_mp(x: Sequence, dps: int = 60) -> Decimal:
-    """Shannon entropy in bits at ``dps`` decimal digits, for tie-breaking."""
-    xs = _coerce_prob(x)
-    with localcontext() as ctx:
-        ctx.prec = dps
-        ln2 = Decimal(2).ln()
-        total = Decimal(0)
-        for f in xs:
-            if f > 0:
-                v = Decimal(f.numerator) / Decimal(f.denominator)
-                total -= v * v.ln() / ln2
-        return total
 
 
 def _guesswork(desc: Sequence[int], den: int) -> Fraction:

@@ -1,4 +1,4 @@
-"""Security at data complexity q: tuple actions, image projections, orderings.
+"""Security at data complexity q: tuple actions, image blocks, orderings.
 
 An adversary holding the images g(p) of a q-tuple p of distinct plaintexts
 knows the realized permutation g only up to its left coset of Stab(p).
@@ -7,30 +7,30 @@ behind both q-query metrics: NCPA advantage (variation distance of the coset
 masses from uniform) and conditional guesswork (guesswork of the summed
 sorted per-coset profiles).  Every verdict is a ``Direction``.
 
-``compare_q`` groups each tuple's indices once for both ciphers and runs on
-integers: both ciphers' stored numerators are scaled to one common
-denominator (the lcm of the two distributions' denominators), and the sorted
-profiles, block masses, column sums, majorization verdicts (integer prefix
-sums) and metrics are computed on those numerators by the kernels behind
-``majorize.compare``, ``metrics.variation_to_uniform`` and
+``compare_q`` is the one q-query path.  It groups each tuple's indices once
+for both ciphers and runs on integers: both ciphers' stored numerators are
+scaled to one common denominator (``dist._common_numerators``), and the
+sorted profiles, block masses, column sums, majorization verdicts (integer
+prefix sums) and metrics are computed on those numerators by the kernels
+behind ``majorize.compare``, ``metrics.variation_to_uniform`` and
 ``metrics.guesswork``.  Only the four metric values of a tuple become
-``Fraction``s; ``project`` and the reports keep ``Fraction``s at the API.
+``Fraction``s, and the reports keep ``Fraction``s at the API.
+``conditional_guesswork_oracle`` is an independent brute-force reference.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import CipherDist
+from .dist import CipherDist, _common_numerators
 from .groups import GroupTable, check_points
 from .majorize import MajorizationVerdict, Relation, _verdict
-from .metrics import _guesswork, _variation, guesswork, variation_to_uniform
+from .metrics import _guesswork, _variation
 
 _ZERO = Fraction(0)
 
@@ -40,25 +40,6 @@ def distinct_tuples(m: int, q: int) -> list[tuple[int, ...]]:
     if not 1 <= q <= m:
         raise ValueError(f"q must satisfy 1 <= q <= {m}, got {q}")
     return list(itertools.permutations(range(m), q))
-
-
-@dataclass(frozen=True)
-class ImageProjection:
-    """A cipher distribution seen through the images of one plaintext tuple.
-
-    Blocks are keyed by the image tuple g(p), so each is a left coset of
-    Stab(p); they come in the order of their lexicographically minimal member.
-    ``coset_masses[i]`` is the i-th block's mass and ``coset_profiles[i]`` its
-    sub-distribution sorted decreasingly.
-    """
-
-    coset_masses: tuple[Fraction, ...]
-    coset_profiles: tuple[tuple[Fraction, ...], ...]
-
-    def profile_sum(self) -> tuple[Fraction, ...]:
-        """Componentwise sum of the sorted per-coset profiles (a probability
-        vector; its guesswork is the conditional guesswork)."""
-        return tuple(_column_sums(self.coset_profiles))
 
 
 def _image_columns(group: GroupTable) -> list[tuple[int, ...]]:
@@ -90,49 +71,13 @@ def _column_sums(profiles: Sequence[Sequence]) -> list:
     return [sum(col) for col in zip(*profiles)]
 
 
-def project(x: CipherDist, p: tuple[int, ...]) -> ImageProjection:
-    """Project a distribution onto the left cosets of Stab(p), i.e. group its
-    masses by image tuple g(p), visiting g in canonical order."""
-    check_points(p, x.group.degree)
-    blocks = _image_blocks(_image_columns(x.group), x.group.order, p)
-    profiles = tuple(tuple(prof) for prof in _profiles(blocks, x.mass))
-    return ImageProjection(tuple(sum(prof) for prof in profiles), profiles)
-
-
-def ncpa_advantage(x: CipherDist, p: tuple[int, ...]) -> Fraction:
-    """Nonadaptive chosen-plaintext advantage for the tuple p: the variation
-    distance of the coset-mass vector from uniform over the coset space."""
-    return variation_to_uniform(project(x, p).coset_masses)
-
-
-def max_ncpa_advantage(
-    x: CipherDist, q: int
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Maximum advantage over all distinct q-tuples, with the
-    lexicographically first maximizing tuple."""
-    best = None
-    witness = None
-    for p in distinct_tuples(x.group.degree, q):
-        adv = ncpa_advantage(x, p)
-        if best is None or adv > best:
-            best, witness = adv, p
-    assert best is not None and witness is not None
-    return best, witness
-
-
-def conditional_guesswork(x: CipherDist, p: tuple[int, ...]) -> Fraction:
-    """Expected optimal guesses for the realized permutation given the
-    images of p: the guesswork of the summed sorted coset profiles."""
-    return guesswork(project(x, p).profile_sum())
-
-
 def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
     """Brute-force reference: group permutations by their actual image of p,
     sort each group's posterior decreasingly, and sum the per-ciphertext
     optimal guess counts weighted by the ciphertext probability.
 
-    Independent of the coset machinery; must agree with
-    ``conditional_guesswork`` exactly.
+    Independent of the coset machinery; must agree exactly with the
+    ``guesswork_left``/``guesswork_right`` of ``compare_q``'s rows.
     """
     group = x.group
     check_points(p, group.degree)
@@ -299,9 +244,7 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     if not 0 <= q_max <= m:
         raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
     order = left.group.order
-    den = math.lcm(left.den, right.den)
-    left_nums = [n * (den // left.den) for n in left.nums]
-    right_nums = [n * (den // right.den) for n in right.nums]
+    left_nums, right_nums, den = _common_numerators(left, right)
     columns = _image_columns(left.group)
     levels = []
     for q in range(q_max + 1):

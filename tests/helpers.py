@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from cipherorder import (
@@ -286,3 +287,32 @@ def dist_over(
     for i, w in zip(indices, weights):
         mass[i] = Fraction(w, total)
     return CipherDist(group, tuple(mass))
+
+
+def shannon_entropy_mp(x, dps: int = 60) -> Decimal:
+    """Shannon entropy in bits at ``dps`` decimal digits: the tie-breaker
+    when two float entropies lie within the 1e-12 tolerance."""
+    with localcontext() as ctx:
+        ctx.prec = dps
+        ln2 = Decimal(2).ln()
+        total = Decimal(0)
+        for f in map(Fraction, x):
+            if f > 0:
+                v = Decimal(f.numerator) / Decimal(f.denominator)
+                total -= v * v.ln() / ln2
+        return total
+
+
+def apply_matrix(matrix, v) -> tuple[Fraction, ...]:
+    """The matrix-vector product D v, exactly."""
+    if len(v) != len(matrix):
+        raise ValueError(f"vector length {len(v)} != matrix size {len(matrix)}")
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
+
+
+def permutation_matrix(p: Permutation) -> tuple[tuple[Fraction, ...], ...]:
+    """The 0/1 matrix with a one at (i, p(i)) in each row i."""
+    n = p.degree
+    return tuple(
+        tuple(Fraction(int(p.images[i] == j)) for j in range(n)) for i in range(n)
+    )

@@ -28,7 +28,7 @@ from cipherorder.groups import (
     stabilizer,
     symmetric_group,
 )
-from cipherorder.majorize import apply_matrix, compare, hlp_witness
+from cipherorder.majorize import compare, hlp_witness
 from cipherorder.metrics import (
     alpha_guesswork,
     guesswork,
@@ -36,20 +36,19 @@ from cipherorder.metrics import (
     renyi_entropy,
     renyi_power_sum,
     shannon_entropy,
-    shannon_entropy_mp,
     variation_to_uniform,
 )
 from cipherorder.perms import transposition
-from cipherorder.qsecurity import (
-    compare_q,
-    conditional_guesswork,
-    conditional_guesswork_oracle,
-    distinct_tuples,
-    ncpa_advantage,
-    project,
-)
+from cipherorder.qsecurity import compare_q, conditional_guesswork_oracle
 
-from helpers import majorized_pair, random_dist, random_dist_on, random_subgroup
+from helpers import (
+    apply_matrix,
+    majorized_pair,
+    random_dist,
+    random_dist_on,
+    random_subgroup,
+    shannon_entropy_mp,
+)
 
 F = Fraction
 TOL = 1e-12
@@ -253,35 +252,31 @@ def _product_ordering_cases():
         for _ in range(count):
             x = random_dist(rng, group)
             y = random_dist(rng, group)
-            cases.append((group, convolve(x, y), y))
+            cases.append((convolve(x, y), y))
     return cases
 
 
 def test_criterion_08_product_ordering_suite():
     ok = True
     cases = _product_ordering_cases()
-    for group, z, y in cases:
-        for q in (1, 2):
-            for p in distinct_tuples(group.degree, q):
-                pz = project(z, p)
-                py = project(y, p)
-                ok &= compare(pz.coset_masses, py.coset_masses).is_below
-                ok &= compare(pz.profile_sum(), py.profile_sum()).is_below
-                ok &= conditional_guesswork(z, p) >= conditional_guesswork(y, p)
-                ok &= ncpa_advantage(z, p) <= ncpa_advantage(y, p)
+    for z, y in cases:
+        for level in compare_q(z, y, 2).levels:
+            for tc in level.tuples:
+                ok &= tc.coset_verdict.is_below
+                ok &= tc.profile_verdict.is_below
+                ok &= tc.advantage_left <= tc.advantage_right
+                ok &= tc.guesswork_left >= tc.guesswork_right
     ok &= len(cases) >= 100
     _report(8, f"product-cipher q-ordering suite ({len(cases)} pairs)", ok)
 
 
 def test_criterion_09_oracle_equivalences():
     ok = True
-    for group, z, y in _product_ordering_cases():
-        for q in (1, 2):
-            for p in distinct_tuples(group.degree, q):
-                for dist in (z, y):
-                    ok &= conditional_guesswork(
-                        dist, p
-                    ) == conditional_guesswork_oracle(dist, p)
+    for z, y in _product_ordering_cases():
+        for level in compare_q(z, y, 2).levels:
+            for tc in level.tuples:
+                ok &= tc.guesswork_left == conditional_guesswork_oracle(z, tc.points)
+                ok &= tc.guesswork_right == conditional_guesswork_oracle(y, tc.points)
     # the two variation closed forms and the direct half-L1 definition
     for x, y in _schur_pairs():
         for v in (x, y):

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from cipherorder.majorize import (
     MajorizationVerdict,
     Relation,
-    apply_matrix,
     birkhoff_decompose,
     compare,
     hlp_witness,
-    permutation_matrix,
 )
 from cipherorder.perms import Permutation, identity
 
 from helpers import (
+    apply_matrix,
     compare_oracle,
     majorized_pair,
     mixed_denominator_vector,
+    permutation_matrix,
     rational_prob_vector,
     t_transform,
 )

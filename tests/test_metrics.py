@@ -17,7 +17,6 @@ from cipherorder.metrics import (
     renyi_entropy,
     renyi_power_sum,
     shannon_entropy,
-    shannon_entropy_mp,
     variation_to_uniform,
 )
 
@@ -27,6 +26,7 @@ from helpers import (
     majorized_pair,
     mixed_denominator_vector,
     rational_prob_vector,
+    shannon_entropy_mp,
     variation_to_uniform_oracle,
 )
 

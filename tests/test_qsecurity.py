@@ -11,26 +11,30 @@ from cipherorder.dist import (
     uniform_on_elements,
 )
 from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
-from cipherorder.majorize import Relation, compare
+from cipherorder.majorize import MajorizationVerdict, Relation, compare
 from cipherorder.metrics import guesswork
 from cipherorder.perms import Permutation, compose, transposition
 from cipherorder.qsecurity import (
+    ComparisonReport,
     Direction,
+    LevelComparison,
+    TupleComparison,
+    _image_blocks,
+    _image_columns,
+    _profiles,
     compare_q,
-    conditional_guesswork,
     conditional_guesswork_oracle,
     distinct_tuples,
-    max_ncpa_advantage,
-    ncpa_advantage,
-    project,
 )
 
 from helpers import (
     compare_q_oracle,
     dist_over,
+    project_oracle,
     random_dist,
     random_dist_on,
     random_subgroup,
+    variation_to_uniform_oracle,
 )
 
 F = Fraction
@@ -51,93 +55,121 @@ def test_distinct_tuples():
         distinct_tuples(3, 0)
 
 
+def rows_of(x: CipherDist, q: int) -> dict[tuple[int, ...], TupleComparison]:
+    """The level-q rows of x compared with itself, keyed by tuple."""
+    return {tc.points: tc for tc in compare_q(x, x, q).levels[q].tuples}
+
+
 def test_project_uniform_spreads_evenly():
     x = uniform_on(S3, range(6))
-    proj = project(x, (0,))
-    assert proj.coset_masses == (F(1, 3),) * 3
-    assert len(proj.coset_masses) == 3
+    masses, _ = project_oracle(x, (0,))
+    assert masses == (F(1, 3),) * 3
+    assert rows_of(x, 1)[(0,)].advantage_left == 0
 
 
 def test_project_deterministic_hits_one_coset():
     x = deterministic(S3, PI)
-    proj = project(x, (0,))
-    assert sorted(proj.coset_masses, reverse=True) == [F(1), F(0), F(0)]
+    masses, _ = project_oracle(x, (0,))
+    assert sorted(masses, reverse=True) == [F(1), F(0), F(0)]
+    # the live path sees the same coset masses as the point mass at (0,)
+    row = compare_q(x, uniform_on(S3, range(6)), 1).levels[1].tuples[0]
+    assert row.points == (0,)
+    assert row.advantage_left == F(2, 3)
+    assert row.coset_verdict.is_strictly_above
 
 
 def test_project_stabilizer_supported_cipher():
     x = uniform_on_elements(S3, stabilizer(S3, (0,)))
-    proj = project(x, (0,))
-    assert proj.coset_masses == (F(1), F(0), F(0))
+    masses, _ = project_oracle(x, (0,))
+    assert masses == (F(1), F(0), F(0))
+    row = compare_q(x, deterministic(S3, PI), 1).levels[1].tuples[0]
+    assert row.points == (0,)
+    assert row.coset_verdict.is_equal
+    assert row.advantage_left == row.advantage_right == F(2, 3)
 
 
 def test_project_conserves_mass_and_profiles():
     rng = random.Random(4)
     for group, q in ((S3, 1), (S3, 2), (S4, 2)):
+        columns = _image_columns(group)
         for _ in range(5):
             x = random_dist(rng, group)
             for p in distinct_tuples(group.degree, q):
-                proj = project(x, p)
-                assert sum(proj.coset_masses) == 1
-                assert [sum(prof) for prof in proj.coset_profiles] == list(
-                    proj.coset_masses
-                )
-                flat = sorted(
-                    (v for prof in proj.coset_profiles for v in prof), reverse=True
-                )
-                assert flat == sorted(x.mass, reverse=True)
-                for prof in proj.coset_profiles:
-                    assert list(prof) == sorted(prof, reverse=True)
+                profiles = _profiles(_image_blocks(columns, group.order, p), x.nums)
+                assert sum(map(sum, profiles)) == x.den
+                flat = sorted((v for prof in profiles for v in prof), reverse=True)
+                assert flat == sorted(x.nums, reverse=True)
+                for prof in profiles:
+                    assert prof == sorted(prof, reverse=True)
+                masses, profile_sum = project_oracle(x, p)
+                assert [F(sum(prof), x.den) for prof in profiles] == list(masses)
+                assert [
+                    F(sum(col), x.den) for col in zip(*profiles)
+                ] == list(profile_sum)
 
 
 def all_tuples(m):
     return [()] + [p for q in range(1, m + 1) for p in distinct_tuples(m, q)]
 
 
-def test_project_blocks_are_left_cosets_in_order():
+def test_image_blocks_are_left_cosets_in_order():
     rng = random.Random(17)
     for group in (S3, S4):
+        columns = _image_columns(group)
+        for p in all_tuples(group.degree):
+            blocks = _image_blocks(columns, group.order, p)
+            cosets = left_cosets(group, stabilizer(group, p)).blocks
+            assert [tuple(block) for block in blocks] == list(cosets)
         for _ in range(3):
             x = random_dist_on(rng, group, random_subgroup(rng, group))
             for p in all_tuples(group.degree):
                 blocks = left_cosets(group, stabilizer(group, p)).blocks
-                proj = project(x, p)
-                assert proj.coset_masses == tuple(
+                masses, _ = project_oracle(x, p)
+                assert masses == tuple(
                     sum((x.mass[i] for i in block), F(0)) for block in blocks
                 )
-                assert proj.coset_profiles == tuple(
-                    tuple(sorted((x.mass[i] for i in block), reverse=True))
+                assert _profiles(_image_blocks(columns, group.order, p), x.nums) == [
+                    sorted((x.nums[i] for i in block), reverse=True)
                     for block in blocks
-                )
+                ]
 
 
 def test_project_rejects_bad_tuples():
     x = uniform_on(S3, range(6))
     with pytest.raises(ValueError):
-        project(x, (0, 0))
+        conditional_guesswork_oracle(x, (0, 0))
     with pytest.raises(ValueError):
-        project(x, (3,))
+        conditional_guesswork_oracle(x, (3,))
 
 
 def test_ncpa_advantage_examples():
-    assert ncpa_advantage(uniform_on(S3, range(6)), (0,)) == 0
-    assert ncpa_advantage(deterministic(S3, PI), (0,)) == F(2, 3)
-    d = uniform_on_elements(S3, H01)
+    assert rows_of(uniform_on(S3, range(6)), 1)[(0,)].advantage_left == 0
+    assert rows_of(deterministic(S3, PI), 1)[(0,)].advantage_left == F(2, 3)
+    rows = rows_of(uniform_on_elements(S3, H01), 1)
     # querying the point H moves splits the mass over two cosets; querying
     # the point H fixes pins the coset completely
-    assert ncpa_advantage(d, (0,)) == F(1, 3)
-    assert ncpa_advantage(d, (2,)) == F(2, 3)
+    assert rows[(0,)].advantage_left == F(1, 3)
+    assert rows[(2,)].advantage_left == F(2, 3)
+
+
+def max_advantage(x: CipherDist, q: int) -> tuple[Fraction, tuple[int, ...]]:
+    level = compare_q(x, x, q).levels[q]
+    return level.max_advantage_left, level.max_advantage_left_tuple
 
 
 def test_max_ncpa_advantage():
-    assert max_ncpa_advantage(uniform_on(S3, range(6)), 1) == (F(0), (0,))
-    value, witness = max_ncpa_advantage(deterministic(S3, PI), 1)
+    assert max_advantage(uniform_on(S3, range(6)), 1) == (F(0), (0,))
+    value, witness = max_advantage(deterministic(S3, PI), 1)
     assert value == F(2, 3)
     assert witness == (0,)
     # the triple product T of the S3 expansion: brute-force over all tuples
     x = uniform_on_elements(S3, H01)
     t = convolve(x, convolve(deterministic(S3, PI), x))
-    best, _ = max_ncpa_advantage(t, 1)
-    assert best == max(ncpa_advantage(t, p) for p in distinct_tuples(3, 1))
+    best, _ = max_advantage(t, 1)
+    assert best == max(
+        variation_to_uniform_oracle(project_oracle(t, p)[0])
+        for p in distinct_tuples(3, 1)
+    )
 
 
 def test_max_advantage_nondecreasing_in_q():
@@ -145,22 +177,22 @@ def test_max_advantage_nondecreasing_in_q():
     for group in (S3, S4):
         for _ in range(5):
             x = random_dist(rng, group)
-            values = [max_ncpa_advantage(x, q)[0] for q in (1, 2)]
-            assert values[0] <= values[1]
+            levels = compare_q(x, x, 2).levels
+            assert levels[1].max_advantage_left <= levels[2].max_advantage_left
 
 
 def test_conditional_guesswork_examples():
-    assert conditional_guesswork(deterministic(S3, PI), (0,)) == 1
-    assert conditional_guesswork(uniform_on(S3, range(6)), (0,)) == F(3, 2)
+    assert rows_of(deterministic(S3, PI), 1)[(0,)].guesswork_left == 1
+    assert rows_of(uniform_on(S3, range(6)), 1)[(0,)].guesswork_left == F(3, 2)
     stab_cipher = uniform_on_elements(S3, stabilizer(S3, (0,)))
-    assert conditional_guesswork(stab_cipher, (0,)) == F(3, 2)
+    assert rows_of(stab_cipher, 1)[(0,)].guesswork_left == F(3, 2)
 
 
 def test_conditional_guesswork_oracle_examples():
     assert conditional_guesswork_oracle(deterministic(S3, PI), (0,)) == 1
     assert conditional_guesswork_oracle(uniform_on(S3, range(6)), (0,)) == F(3, 2)
     u4 = uniform_on(S4, range(24))
-    assert conditional_guesswork(u4, (0, 1)) == conditional_guesswork_oracle(
+    assert rows_of(u4, 2)[(0, 1)].guesswork_left == conditional_guesswork_oracle(
         u4, (0, 1)
     )
 
@@ -171,23 +203,21 @@ def test_oracle_equivalence_randomized():
         for _ in range(6):
             x = random_dist(rng, group)
             for q in qs:
-                for p in distinct_tuples(group.degree, q):
-                    assert conditional_guesswork(x, p) == conditional_guesswork_oracle(
-                        x, p
-                    )
+                for p, tc in rows_of(x, q).items():
+                    assert tc.guesswork_left == conditional_guesswork_oracle(x, p)
+                    assert tc.guesswork_right == tc.guesswork_left
 
 
 def test_conditional_guesswork_bounds():
     rng = random.Random(12)
     for _ in range(10):
         x = random_dist(rng, S4)
-        for p in distinct_tuples(4, 1):
-            w = conditional_guesswork(x, p)
+        for p, tc in rows_of(x, 1).items():
             stab_order = stabilizer(S4, p).order
-            assert 1 <= w <= F(stab_order + 1, 2)
+            assert 1 <= tc.guesswork_left <= F(stab_order + 1, 2)
     u = uniform_on(S4, range(24))
-    for p in distinct_tuples(4, 2):
-        assert conditional_guesswork(u, p) == F(stabilizer(S4, p).order + 1, 2)
+    for p, tc in rows_of(u, 2).items():
+        assert tc.guesswork_left == F(stabilizer(S4, p).order + 1, 2)
 
 
 def test_compare_q_self_is_equivalent():
@@ -246,14 +276,14 @@ def test_product_ordering_consequence_randomized():
             x = random_dist(rng, group)
             y = random_dist(rng, group)
             z = convolve(x, y)
+            levels = compare_q(z, y, max(qs)).levels
             for q in qs:
-                for p in distinct_tuples(group.degree, q):
-                    pz = project(z, p)
-                    py = project(y, p)
-                    assert compare(pz.coset_masses, py.coset_masses).is_below
-                    assert compare(pz.profile_sum(), py.profile_sum()).is_below
-                    assert conditional_guesswork(z, p) >= conditional_guesswork(y, p)
-                    assert ncpa_advantage(z, p) <= ncpa_advantage(y, p)
+                assert len(levels[q].tuples) == len(distinct_tuples(group.degree, q))
+                for tc in levels[q].tuples:
+                    assert tc.coset_verdict.is_below
+                    assert tc.profile_verdict.is_below
+                    assert tc.guesswork_left >= tc.guesswork_right
+                    assert tc.advantage_left <= tc.advantage_right
 
 
 MAJORIZATION_DIRECTION = {
@@ -383,3 +413,78 @@ def test_compare_q_equals_fraction_oracle(group, q_max):
     ]
     for left, right in pairs:
         assert compare_q(left, right, q_max) == compare_q_oracle(left, right, q_max)
+
+
+def mirror_verdict(v: MajorizationVerdict) -> MajorizationVerdict:
+    """The verdict of (y, x) given that of (x, y)."""
+    relation = {
+        Relation.STRICTLY_BELOW: Relation.STRICTLY_ABOVE,
+        Relation.STRICTLY_ABOVE: Relation.STRICTLY_BELOW,
+    }.get(v.relation, v.relation)
+    prefix = v.witness_prefix[::-1] if v.witness_prefix is not None else None
+    return MajorizationVerdict(relation, prefix)
+
+
+def mirror_direction(d: Direction) -> Direction:
+    return {Direction.LEFT: Direction.RIGHT, Direction.RIGHT: Direction.LEFT}.get(d, d)
+
+
+def mirror_report(report: ComparisonReport) -> ComparisonReport:
+    """The report of (right, left) predicted from that of (left, right)."""
+    levels = tuple(
+        LevelComparison(
+            q=lvl.q,
+            tuples=tuple(
+                TupleComparison(
+                    points=tc.points,
+                    advantage_left=tc.advantage_right,
+                    advantage_right=tc.advantage_left,
+                    guesswork_left=tc.guesswork_right,
+                    guesswork_right=tc.guesswork_left,
+                    coset_verdict=mirror_verdict(tc.coset_verdict),
+                    profile_verdict=mirror_verdict(tc.profile_verdict),
+                )
+                for tc in lvl.tuples
+            ),
+            max_advantage_left=lvl.max_advantage_right,
+            max_advantage_left_tuple=lvl.max_advantage_right_tuple,
+            max_advantage_right=lvl.max_advantage_left,
+            max_advantage_right_tuple=lvl.max_advantage_left_tuple,
+            min_guesswork_left=lvl.min_guesswork_right,
+            min_guesswork_left_tuple=lvl.min_guesswork_right_tuple,
+            min_guesswork_right=lvl.min_guesswork_left,
+            min_guesswork_right_tuple=lvl.min_guesswork_left_tuple,
+            verdict=mirror_direction(lvl.verdict),
+        )
+        for lvl in report.levels
+    )
+    return ComparisonReport(levels, mirror_direction(report.overall))
+
+
+def test_compare_q_swapped_sides_mirror_the_report():
+    rng = random.Random(7)
+    rows = 0
+    relations = set()
+    for group in (S3, S4):
+        for _ in range(3):
+            subgroup_pair = [
+                random_dist_on(rng, group, random_subgroup(rng, group))
+                for _ in range(2)
+            ]
+            full_pair = [random_dist(rng, group) for _ in range(2)]
+            for a, b in (subgroup_pair, full_pair):
+                forward = compare_q(a, b, group.degree)
+                assert compare_q(b, a, group.degree) == mirror_report(forward)
+                for level in forward.levels:
+                    rows += len(level.tuples)
+                    for tc in level.tuples:
+                        relations |= {
+                            tc.coset_verdict.relation,
+                            tc.profile_verdict.relation,
+                        }
+    assert rows == 486
+    assert {
+        Relation.STRICTLY_BELOW,
+        Relation.STRICTLY_ABOVE,
+        Relation.INCOMPARABLE,
+    } <= relations
