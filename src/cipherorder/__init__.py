@@ -18,7 +18,6 @@ from .dist import (
     uniform_on_elements,
 )
 from .groups import (
-    CosetDecomposition,
     DoubleCoset,
     GroupSizeError,
     GroupTable,
@@ -60,7 +59,6 @@ from .scenario import Scenario, ScenarioError, parse_scenario
 __all__ = [
     "CipherDist",
     "ComparisonReport",
-    "CosetDecomposition",
     "Direction",
     "DoubleCoset",
     "DoublyStochasticWitness",

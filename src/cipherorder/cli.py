@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit status: 0 when every computed verdict passes, 1 when any verdict fails,
-2 on usage or parse errors.  The ``majorize`` subcommand instead encodes the
-majorization verdict itself (see MAJORIZE_EXIT_CODES).
+2 on usage or parse errors, an unwritable ``--csv`` path included.  The
+``majorize`` subcommand instead encodes the majorization verdict itself (see
+MAJORIZE_EXIT_CODES).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -72,6 +74,8 @@ def _rational(token: str, where: str) -> Fraction:
         return Fraction(token)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
+    except ZeroDivisionError:
+        raise ScenarioError(f"{where}: {token!r} has a zero denominator") from None
 
 
 def _shown(value: Fraction, flag: str, token: str) -> str:
@@ -92,6 +96,14 @@ def _read_vector(path: str) -> list[Fraction]:
     if not tokens:
         raise ScenarioError(f"{path}: no entries")
     return [_rational(tok, path) for tok in tokens]
+
+
+def _write_csv(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from None
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -217,20 +229,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not scenario.compare:
         raise ScenarioError("scenario declares no comparison pairs")
     q_max = scenario.q_max if args.q_max is None else args.q_max
-    rows = [["q", "tuple", "metric", "value_left", "value_right", "verdict"]]
-    coherent = True
-    for left, right in scenario.compare:
-        report = compare_q(
-            scenario.distribution(left), scenario.distribution(right), q_max
-        )
-        _print_comparison(report, left, right, args.per_tuple)
-        if report.overall is Direction.MIXED:
-            coherent = False
-        rows += _comparison_csv(report, args.per_tuple)
+    dist = scenario.distribution
+    reports = [compare_q(dist(a), dist(b), q_max) for a, b in scenario.compare]
     if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    return 0 if coherent else 1
+        rows = [["q", "tuple", "metric", "value_left", "value_right", "verdict"]]
+        for report in reports:
+            rows += _comparison_csv(report, args.per_tuple)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _write_csv(args.csv, buf.getvalue())
+    for (left, right), report in zip(scenario.compare, reports):
+        _print_comparison(report, left, right, args.per_tuple)
+    return 0 if all(r.overall is not Direction.MIXED for r in reports) else 1
 
 
 def _experiment_setup(args: argparse.Namespace):
@@ -248,9 +258,9 @@ def _experiment_setup(args: argparse.Namespace):
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = args.run(args)
+    if args.csv is not None:
+        _write_csv(args.csv, emit_report([result], "csv"))
     print(emit_report([result], "text"), end="")
-    if args.csv:
-        Path(args.csv).write_text(emit_report([result], "csv"))
     return 0 if result.passed else 1
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import DoubleCoset, GroupTable, double_coset
-from .majorize import _numerators
+from .majorize import _exact_rational, _numerators
 from .perms import Permutation
 
 _ZERO = Fraction(0)
@@ -30,7 +30,8 @@ class CipherDist:
 
     Element i has mass ``nums[i] / den``, and ``gcd(den, *nums) == 1``, so
     equal distributions have equal fields (and equal hashes).
-    ``CipherDist(group, mass)`` takes rational masses; the library builds
+    ``CipherDist(group, mass)`` takes exact rational masses (a float is a
+    TypeError, as in ``majorize`` and ``metrics``); the library builds
     its distributions from integers through ``from_numerators``.  Both check
     the length, the signs and the total.
     """
@@ -40,7 +41,7 @@ class CipherDist:
     den: int
 
     def __init__(self, group: GroupTable, mass: Sequence) -> None:
-        fracs = [m if isinstance(m, Fraction) else Fraction(m) for m in mass]
+        fracs = [_exact_rational(m) for m in mass]
         self._set(group, *_numerators(fracs))
 
     @classmethod
@@ -162,7 +163,7 @@ class TripleDecomposition:
     """Convex direct-sum decomposition of x * delta_pi * z along left cosets.
 
     ``weights[i] = weight_nums[i] / weight_den`` is the mass x places on the
-    transversal block sending pi*K to ``double_coset.left_reps[i]*K``;
+    elements a with a*pi in the left coset ``double_coset.left_blocks[i]``;
     ``parts[i]`` is a probability distribution confined to that coset.
     Blocks with zero weight receive a canonical uniform part so the part
     count always equals the orbit size m.
@@ -222,10 +223,7 @@ def triple_decompose(
     _check_confined(z, k, "z")
 
     dc = double_coset(group, h, pi, k)
-    block_of: dict[int, int] = {}
-    for b, block in enumerate(dc.left_blocks):
-        for i in block:
-            block_of[i] = b
+    block_of = {i: b for b, block in enumerate(dc.left_blocks) for i in block}
 
     # part b is sum_a x(a) delta_a * z_shift over the a in supp(x) with
     # a*pi in block b, divided by the block's weight

@@ -4,11 +4,11 @@ Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
 element-for-element identical.  The module is words-first: every group is
 built, compared, filtered, conjugated and closed as sorted image tuples
-("words"), and ``Permutation`` objects appear only at the API (arguments,
-``GroupTable.elements``, coset representatives).  Everything is desk scale
-by design: this module alone decides the element-count cap,
-``DEFAULT_CAP``, and refuses a larger group before enumerating it where its
-order is known in advance.
+("words"), cosets are sorted blocks of parent-table indices, and
+``Permutation`` objects appear only at the API (arguments and
+``GroupTable.elements``).  Everything is desk scale by design: this module
+alone decides the element-count cap, ``DEFAULT_CAP``, and refuses a larger
+group before enumerating it where its order is known in advance.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ class GroupSizeError(ValueError):
     """Raised when a group would exceed the enumeration cap."""
 
 
-def over_cap(name: str, cap: int = DEFAULT_CAP) -> GroupSizeError:
-    """The refusal of the group called ``name``: it has more than ``cap``
-    elements."""
-    return GroupSizeError(f"{name} has more than {cap} elements, the group-size cap")
+def over_cap(name: str) -> GroupSizeError:
+    """The refusal of the group called ``name``: it has too many elements."""
+    return GroupSizeError(f"{name} has more than {DEFAULT_CAP} elements, the group-size cap")
 
 
 def _right_factor(w: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -106,10 +105,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.words)
 
-    @property
-    def identity(self) -> Permutation:
-        return Permutation(tuple(range(self.degree)))
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -176,11 +171,11 @@ class GroupTable:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
-def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupTable:
+def closure(generators: Iterable[Permutation]) -> GroupTable:
     """The group generated by ``generators``, enumerated breadth-first on
     image tuples.
 
-    Raises ``GroupSizeError`` if the group would exceed ``cap`` elements.
+    Raises ``GroupSizeError`` if the group would exceed the cap.
     """
     gens = list(generators)
     if not gens:
@@ -200,8 +195,8 @@ def closure(generators: Iterable[Permutation], cap: int = DEFAULT_CAP) -> GroupT
                 if c not in seen:
                     seen.add(c)
                     new.append(c)
-                    if len(seen) > cap:
-                        raise over_cap("generated group", cap)
+                    if len(seen) > DEFAULT_CAP:
+                        raise over_cap("generated group")
         frontier = new
     return GroupTable._from_words(sorted(seen))
 
@@ -265,57 +260,36 @@ def intersection(a: GroupTable, b: GroupTable) -> GroupTable:
     return GroupTable._from_words([w for w in a.words if w in b._index])
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Left cosets gH of a subgroup, as index blocks into the parent table.
-
-    Blocks are ordered by, and represented by, their lexicographically
-    minimal member, which ``transversal`` lists.
-    """
-
-    transversal: tuple[Permutation, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-
 def _require_subgroup(parent: GroupTable, sub: GroupTable, name: str) -> None:
     if not sub.is_subgroup_of(parent):
         raise ValueError(f"{name} is not a subgroup of the parent group")
 
 
-def left_cosets(parent: GroupTable, subgroup: GroupTable) -> CosetDecomposition:
-    """Partition of ``parent`` into left cosets g*subgroup."""
+def left_cosets(parent: GroupTable, subgroup: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """Partition of ``parent`` into left cosets g*subgroup: sorted blocks of
+    parent indices, ordered by their minimal member."""
     _require_subgroup(parent, subgroup, "subgroup")
-    sub = parent.indices_of(subgroup)
-    assigned = [False] * parent.order
-    transversal: list[Permutation] = []
-    blocks: list[tuple[int, ...]] = []
-    row = parent.right_products(sub)
-    for i, word in enumerate(parent.words):
-        if assigned[i]:
-            continue
-        block = sorted(row(i))
-        for j in block:
-            assigned[j] = True
-        transversal.append(Permutation(word))
-        blocks.append(tuple(block))
-    return CosetDecomposition(tuple(transversal), tuple(blocks))
+    row = parent.right_products(parent.indices_of(subgroup))
+    covered: set[int] = set()
+    blocks = []
+    for i in range(parent.order):
+        if i not in covered:
+            block = tuple(sorted(row(i)))
+            covered.update(block)
+            blocks.append(block)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
 class DoubleCoset:
     """The set H*pi*K with its decomposition into left cosets of K.
 
-    ``elements`` and ``left_blocks`` are indices into the parent table;
-    ``left_reps[i]`` is the minimal member of ``left_blocks[i]``; the block
-    count ``m`` equals [H : H n pi*K*pi^-1] by orbit-stabilizer.
+    ``elements`` and ``left_blocks`` are indices into the parent table, and
+    the blocks are ordered by their minimal member; the block count ``m``
+    equals [H : H n pi*K*pi^-1] by orbit-stabilizer.
     """
 
     elements: tuple[int, ...]
-    left_reps: tuple[Permutation, ...]
     left_blocks: tuple[tuple[int, ...], ...]
 
     @property
@@ -336,9 +310,6 @@ def double_coset(
         raise ValueError("pi is not an element of the parent group")
     p = parent.index(pi)
     h_pi = {parent.mul(a, p) for a in parent.indices_of(h)}
-    dec = left_cosets(parent, k)
-    kept = [b for b, block in enumerate(dec.blocks) if not h_pi.isdisjoint(block)]
-    blocks = tuple(dec.blocks[b] for b in kept)
+    blocks = tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))
     elements = tuple(sorted(i for block in blocks for i in block))
-    reps = tuple(dec.transversal[b] for b in kept)
-    return DoubleCoset(elements, reps, blocks)
+    return DoubleCoset(elements, blocks)

@@ -71,20 +71,20 @@ class MajorizationVerdict:
         return self.relation is Relation.EQUAL_UP_TO_PERMUTATION
 
 
+def _exact_rational(v) -> Fraction:
+    """``v`` as a ``Fraction``; TypeError unless it is rational or a string."""
+    if not isinstance(v, (str, Rational)):
+        raise TypeError(f"expected exact rational entries, got {type(v).__name__}")
+    return Fraction(v)
+
+
 def nonnegative_rationals(xs: Sequence) -> list[Fraction]:
     """The entries as ``Fraction``s: TypeError for a non-rational entry,
     ValueError for a negative one."""
-    out = []
-    for v in xs:
-        if isinstance(v, Fraction):
-            f = v
-        elif isinstance(v, (int, str, Rational)):
-            f = Fraction(v)
-        else:
-            raise TypeError(f"expected exact rational entries, got {type(v).__name__}")
+    out = [_exact_rational(v) for v in xs]
+    for f in out:
         if f < 0:
             raise ValueError(f"vector entries must be nonnegative, got {f}")
-        out.append(f)
     return out
 
 

@@ -14,7 +14,7 @@ from cipherorder import (
     uniform_on,
 )
 from cipherorder.majorize import MajorizationVerdict, Relation
-from cipherorder.perms import Permutation, compose
+from cipherorder.perms import Permutation, compose, identity
 from cipherorder.qsecurity import (
     ComparisonReport,
     Direction,
@@ -76,7 +76,7 @@ def random_subgroup(rng: random.Random, group: GroupTable) -> GroupTable:
     generated by two random elements."""
     kind = rng.choice(["trivial", "stab", "cyclic", "two-gen"])
     if kind == "trivial":
-        return closure([group.identity])
+        return closure([identity(group.degree)])
     if kind == "stab":
         return stabilizer(group, (rng.randrange(group.degree),))
     if kind == "cyclic":
@@ -119,8 +119,6 @@ def convolve_oracle(x: CipherDist, y: CipherDist) -> CipherDist:
 def enumerate_subgroup_oracle(generators: list[Permutation]) -> set[Permutation]:
     """Closure by repeated squaring of the product set until stable."""
     current = set(generators)
-    from cipherorder.perms import identity
-
     current.add(identity(generators[0].degree))
     while True:
         nxt = set(current)

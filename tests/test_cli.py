@@ -168,9 +168,11 @@ def _run_cli(*argv):
 
 
 HUGE_EXPONENTS = ["1e999999999", "1e-999999999", "1E+4301", "0e-000004301"]
+ZERO_DENOMINATORS = ["1/0", "0/0"]
 
 
-@pytest.mark.parametrize("token", HUGE_EXPONENTS)
+# a zero denominator is refused with the same exit status and naming
+@pytest.mark.parametrize("token", [*HUGE_EXPONENTS, *ZERO_DENOMINATORS])
 @pytest.mark.parametrize("command", ["majorize", "metrics"])
 def test_vector_token_exponent_out_of_range_exits_two(tmp_path, command, token):
     bad = write(tmp_path, "bad.vec", f"1/2 {token} 1/2")
@@ -185,7 +187,9 @@ def test_vector_token_exponent_out_of_range_exits_two(tmp_path, command, token):
 
 
 # 1e4300 and 1e-4300 are read, but have 4301 digits: too many to print
-@pytest.mark.parametrize("token", [*HUGE_EXPONENTS, "abc", "1e4300", "1e-4300"])
+@pytest.mark.parametrize(
+    "token", [*HUGE_EXPONENTS, *ZERO_DENOMINATORS, "abc", "1e4300", "1e-4300"]
+)
 @pytest.mark.parametrize("flag", ["--alpha", "--renyi"])
 def test_metrics_flag_token_errors_name_the_flag(tmp_path, flag, token):
     dist = write(tmp_path, "d.vec", "1/2 1/2")
@@ -510,6 +514,21 @@ def test_experiment_subcommands_print_the_report(tmp_path, capsys, argv, result)
     assert code == (0 if expected.passed else 1)
     assert capsys.readouterr().out == emit_report([expected], "text")
     assert csv_path.read_text() == emit_report([expected], "csv")
+
+
+# argv None stands for compare on the scenario fixture
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(None, id="compare")]
+    + [pytest.param(case.values[0], id=case.id) for case in EXPERIMENT_CASES],
+)
+def test_unwritable_csv_exits_two(scenario_file, tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "x.csv"
+    argv = argv or ["compare", scenario_file]
+    assert main([*argv, "--csv", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
 
 
 def _subcommands():

@@ -253,10 +253,9 @@ class TestTripleDecompose:
         assert sum(1 for w in decomp.weights if w > 0) == 1
         assert decomp.mixture() == translate(pi, z)
         # zero-weight blocks still emitted, with uniform parts
-        reps = decomp.double_coset.left_reps
-        for w, part, rep in zip(decomp.weights, decomp.parts, reps):
+        blocks = decomp.double_coset.left_blocks
+        for w, part, block in zip(decomp.weights, decomp.parts, blocks):
             if w == 0:
-                block = decomp.double_coset.left_blocks[reps.index(rep)]
                 assert part == uniform_on(S4, block)
 
     def test_support_violation_raises(self):

@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cipherorder.dist import CipherDist
+from cipherorder.groups import symmetric_group
 from cipherorder.majorize import (
     MajorizationVerdict,
     Relation,
     birkhoff_decompose,
     compare,
     hlp_witness,
+)
+from cipherorder.metrics import (
+    alpha_guesswork,
+    guesswork,
+    marginal_guesswork,
+    renyi_entropy,
+    renyi_power_sum,
+    shannon_entropy,
+    variation_to_uniform,
 )
 from cipherorder.perms import Permutation, identity
 
@@ -61,6 +72,28 @@ def test_norm_mismatch_is_a_verdict():
 def test_negative_entries_rejected():
     with pytest.raises(ValueError):
         compare([F(-1, 2), F(3, 2)], [F(1), F(0)])
+
+
+# one type rule for exact entries: each takes the float vector [0.5, 0.5],
+# whose entries are exact binary fractions that sum to 1
+FLOAT_ENTRY_CALLS = {
+    "CipherDist": lambda v: CipherDist(symmetric_group(2), v),
+    "compare": lambda v: compare(v, [F(1, 2), F(1, 2)]),
+    "hlp_witness": lambda v: hlp_witness(v, [F(1), F(0)]),
+    "shannon_entropy": shannon_entropy,
+    "renyi_entropy": lambda v: renyi_entropy(v, 2),
+    "renyi_power_sum": lambda v: renyi_power_sum(v, 2),
+    "guesswork": guesswork,
+    "marginal_guesswork": lambda v: marginal_guesswork(v, F(1, 2)),
+    "alpha_guesswork": lambda v: alpha_guesswork(v, F(1, 2)),
+    "variation_to_uniform": variation_to_uniform,
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ENTRY_CALLS.values(), ids=FLOAT_ENTRY_CALLS)
+def test_float_entries_are_refused_everywhere(call):
+    with pytest.raises(TypeError, match=r"^expected exact rational entries, got float$"):
+        call([0.5, 0.5])
 
 
 def test_zero_padding_of_shorter_vector():

@@ -118,12 +118,12 @@ def test_image_blocks_are_left_cosets_in_order():
         columns = _image_columns(group)
         for p in all_tuples(group.degree):
             blocks = _image_blocks(columns, group.order, p)
-            cosets = left_cosets(group, stabilizer(group, p)).blocks
+            cosets = left_cosets(group, stabilizer(group, p))
             assert [tuple(block) for block in blocks] == list(cosets)
         for _ in range(3):
             x = random_dist_on(rng, group, random_subgroup(rng, group))
             for p in all_tuples(group.degree):
-                blocks = left_cosets(group, stabilizer(group, p)).blocks
+                blocks = left_cosets(group, stabilizer(group, p))
                 masses, _ = project_oracle(x, p)
                 assert masses == tuple(
                     sum((x.mass[i] for i in block), F(0)) for block in blocks
