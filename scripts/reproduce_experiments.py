@@ -24,7 +24,7 @@ def main() -> int:
 
     s3 = symmetric_group(3)
     s4 = symmetric_group(4)
-    h3 = closure([transposition(3, 0, 1)])
+    h3 = s3.indices_of(closure([transposition(3, 0, 1)]))
     pi3 = transposition(3, 1, 2)
     h4 = stabilizer(s4, (3,))
     pi4 = transposition(4, 2, 3)

@@ -15,7 +15,6 @@ from .dist import (
     translate,
     triple_decompose,
     uniform_on,
-    uniform_on_elements,
 )
 from .groups import (
     DoubleCoset,
@@ -25,7 +24,6 @@ from .groups import (
     conjugate_subgroup,
     cyclic_group,
     double_coset,
-    intersection,
     left_cosets,
     stabilizer,
     symmetric_group,
@@ -89,7 +87,6 @@ __all__ = [
     "guesswork",
     "hlp_witness",
     "identity",
-    "intersection",
     "left_cosets",
     "marginal_guesswork",
     "parse_scenario",
@@ -101,6 +98,5 @@ __all__ = [
     "translate",
     "triple_decompose",
     "uniform_on",
-    "uniform_on_elements",
     "variation_to_uniform",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,9 +38,11 @@ from .qsecurity import ComparisonReport, Direction, compare_q
 from .scenario import (
     Scenario,
     ScenarioError,
+    _element,
+    _json,
     parse_group_spec,
-    parse_permutation,
     parse_scenario,
+    parse_subgroup,
 )
 
 USAGE_ERROR = 2
@@ -245,15 +246,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _experiment_setup(args: argparse.Namespace):
     group = parse_group_spec(args.group, where="--group")
-    subgroup = parse_group_spec(
-        args.subgroup, where="--subgroup", degree=group.degree
-    )
-    try:
-        pi_value = json.loads(args.pi)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"--pi: {exc}") from None
-    pi = parse_permutation(pi_value, where="--pi", degree=group.degree)
-    return group, subgroup, pi
+    h = parse_subgroup(args.subgroup, group, where="--subgroup")
+    pi = _element(_json(args.pi, "--pi"), group, where="--pi")
+    return group, h, pi
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

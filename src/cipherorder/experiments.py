@@ -5,7 +5,8 @@ counts (orbit-stabilizer, factorials), actual values from convolution,
 decomposition, majorization and the q-query metrics.  Majorization verdicts,
 entropies and guesswork are taken on each distribution's integer numerators
 by the kernels behind ``majorize.compare`` and ``metrics``, with the same
-values those functions give on the ``Fraction`` masses.  Identical inputs
+values those functions give on the ``Fraction`` masses.  The subgroup H is
+a sorted tuple of the ambient group's element indices.  Identical inputs
 produce byte-identical reports.
 """
 
@@ -26,13 +27,11 @@ from .dist import (
     translate,
     triple_decompose,
     uniform_on,
-    uniform_on_elements,
 )
 from .groups import (
     GroupTable,
     conjugate_subgroup,
     double_coset,
-    intersection,
     over_cap,
     stabilizer,
     symmetric_group,
@@ -93,14 +92,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _check_setup(group: GroupTable, subgroup: GroupTable, pi: Permutation) -> None:
-    if not subgroup.is_subgroup_of(group):
-        raise ValueError("H is not a subgroup of the ambient group")
-    if pi not in group:
-        raise ValueError("pi is not an element of the ambient group")
-
-
-def _assumption_row(rows: _Rows, h: GroupTable, h_pi: GroupTable) -> bool:
+def _assumption_row(rows: _Rows, h: tuple[int, ...], h_pi: tuple[int, ...]) -> bool:
     """Report whether H differs from its pi-conjugate ``h_pi`` (the expansion
     assumption); never an error, but the growth claims fail without it."""
     holds = h_pi != h
@@ -140,7 +132,7 @@ def _default_q_max(group: GroupTable, q_max: int | None) -> int:
 
 def run_expand(
     group: GroupTable,
-    subgroup: GroupTable,
+    h: tuple[int, ...],
     pi: Permutation,
     *,
     q_max: int | None = None,
@@ -148,25 +140,24 @@ def run_expand(
     """Threefold expansion: T = XYZ vs D = XZ with X, Z uniform on H and Y
     deterministic at pi.  T spreads uniformly over the double coset H pi H
     and is more secure than D by every metric."""
-    _check_setup(group, subgroup, pi)
     q_max = _default_q_max(group, q_max)
-    x = uniform_on_elements(group, subgroup)
+    x = uniform_on(group, h)
     y = deterministic(group, pi)
     t = convolve(x, convolve(y, x))
     d = convolve(x, x)
     rows = _Rows()
 
-    if pi in subgroup:
+    if group.index(pi) in h:
         rows.info("degenerate_pi_in_H", True)
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("expand", rows.done(), degenerate=True)
 
-    h_pi = conjugate_subgroup(pi, subgroup)
-    _assumption_row(rows, subgroup, h_pi)
-    decomp = triple_decompose(x, pi, x, subgroup, subgroup)
+    h_pi = conjugate_subgroup(group, pi, h)
+    _assumption_row(rows, h, h_pi)
+    decomp = triple_decompose(x, pi, x, h, h)
     dc = decomp.double_coset
     rows.exact("support_T", len(dc.elements), t.support_size())
-    rows.exact("support_D", subgroup.order, d.support_size())
+    rows.exact("support_D", len(h), d.support_size())
     rows.exact("support_expansion", True, t.support_size() > d.support_size())
     rows.exact("T_uniform_on_HpiH", True, t == uniform_on(group, dc.elements))
 
@@ -175,8 +166,7 @@ def run_expand(
         "majorization_t_vs_d", Relation.STRICTLY_BELOW.value, verdict.relation.value
     )
 
-    stab = intersection(subgroup, h_pi)
-    rows.exact("decomposition_m", subgroup.order // stab.order, decomp.m)
+    rows.exact("decomposition_m", len(h) // len(set(h) & set(h_pi)), decomp.m)
     rows.exact("decomposition_reconstructs_T", True, decomp.mixture() == t)
     rows.exact(
         "decomposition_parts_majorized_by_z",
@@ -195,7 +185,7 @@ def run_expand(
 
 def run_collapse(
     group: GroupTable,
-    subgroup: GroupTable,
+    h: tuple[int, ...],
     pi: Permutation,
     *,
     q_max: int | None = None,
@@ -203,9 +193,8 @@ def run_collapse(
     """Threefold collapse: X, Z uniform on the coset pi*H and Y deterministic
     at pi^-1.  The alternating T = XYZ collapses back onto pi*H while the
     two-term D = XZ spreads; every metric now favors D."""
-    _check_setup(group, subgroup, pi)
     q_max = _default_q_max(group, q_max)
-    uniform_h = uniform_on_elements(group, subgroup)
+    uniform_h = uniform_on(group, h)
     x = translate(pi, uniform_h)
     y = deterministic(group, pi.inverse())
     yx = convolve(y, x)
@@ -213,17 +202,17 @@ def run_collapse(
     d = convolve(x, x)
     rows = _Rows()
 
-    if pi in subgroup:
+    if group.index(pi) in h:
         rows.info("degenerate_pi_in_H", True)
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("collapse", rows.done(), degenerate=True)
 
-    _assumption_row(rows, subgroup, conjugate_subgroup(pi, subgroup))
+    _assumption_row(rows, h, conjugate_subgroup(group, pi, h))
     rows.exact("inner_convolution_uniform_on_H", True, yx == uniform_h)
-    rows.exact("support_T", subgroup.order, t.support_size())
+    rows.exact("support_T", len(h), t.support_size())
     rows.exact("supp_T_equals_piH", True, t == x)
 
-    dc = double_coset(group, subgroup, pi, subgroup)
+    dc = double_coset(group, h, pi, h)
     rows.exact("support_D", len(dc.elements), d.support_size())
 
     verdict = _majorization(d, t)
@@ -244,7 +233,7 @@ def run_collapse(
 
 def run_general_collapse(
     group: GroupTable,
-    subgroup: GroupTable,
+    h: tuple[int, ...],
     pi: Permutation,
     rounds: int,
 ) -> ExperimentResult:
@@ -252,18 +241,17 @@ def run_general_collapse(
     with every X_i uniform on pi*H and every Y_i deterministic at pi^-1.
     E stays confined to pi*H for all r while the Y-free product
     X = X_{r+1}...X_1 keeps spreading."""
-    _check_setup(group, subgroup, pi)
     if rounds < 1:
         raise ValueError("round count must be at least 1")
-    x = translate(pi, uniform_on_elements(group, subgroup))
+    x = translate(pi, uniform_on(group, h))
     y = deterministic(group, pi.inverse())
     rows = _Rows()
 
-    if pi in subgroup:
+    if group.index(pi) in h:
         rows.info("degenerate_pi_in_H", True)
         return ExperimentResult("general-collapse", rows.done(), degenerate=True)
 
-    holds = _assumption_row(rows, subgroup, conjugate_subgroup(pi, subgroup))
+    holds = _assumption_row(rows, h, conjugate_subgroup(group, pi, h))
     expected_verdict = (
         Relation.STRICTLY_BELOW if holds else Relation.EQUAL_UP_TO_PERMUTATION
     )
@@ -273,11 +261,11 @@ def run_general_collapse(
     for r in range(1, rounds + 1):
         e = convolve(x, convolve(y, e))
         x_prod = convolve(x, x_prod)
-        rows.exact(f"r{r}_support_E", subgroup.order, e.support_size())
+        rows.exact(f"r{r}_support_E", len(h), e.support_size())
         rows.exact(f"r{r}_E_equals_uniform_piH", True, e == x)
         supp = x_prod.support_size()
         if holds:
-            rows.exact(f"r{r}_X_support_exceeds_piH", True, supp > subgroup.order)
+            rows.exact(f"r{r}_X_support_exceeds_piH", True, supp > len(h))
         rows.exact(f"r{r}_X_support_nondecreasing", True, supp >= prev_support)
         prev_support = supp
         rows.exact(
@@ -301,18 +289,18 @@ def run_amplifier(n: int) -> ExperimentResult:
     space = 2**n + 1
     group = symmetric_group(space)
     fixed_point = space - 1
-    sub = stabilizer(group, (fixed_point,))
+    h = stabilizer(group, (fixed_point,))
     pi = Permutation(tuple((i + 1) % space for i in range(space)))
-    x = uniform_on_elements(group, sub)
+    x = uniform_on(group, h)
     t = convolve(x, convolve(deterministic(group, pi), x))
     d = convolve(x, x)
     rows = _Rows()
 
-    dc = double_coset(group, sub, pi, sub)
+    dc = double_coset(group, h, pi, h)
     rows.exact("support_T", factorial(space) - factorial(space - 1), t.support_size())
     rows.exact("support_T_matches_double_coset", len(dc.elements), t.support_size())
     rows.exact("T_uniform_on_double_coset", True, t == uniform_on(group, dc.elements))
-    rows.exact("supp_D_equals_sym_M", True, set(d.support()) == set(group.indices_of(sub)))
+    rows.exact("supp_D_equals_sym_M", True, d.support() == h)
 
     fix_mass = Fraction(
         sum(n for n, w in zip(d.nums, group.words) if w[fixed_point] == fixed_point),

@@ -2,11 +2,12 @@
 
 Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
-element-for-element identical.  The module is words-first: every group is
-built, compared, filtered, conjugated and closed as sorted image tuples
-("words"), cosets are sorted blocks of parent-table indices, and
-``Permutation`` objects appear only at the API (arguments and
-``GroupTable.elements``).  Everything is desk scale by design: this module
+element-for-element identical.  Groups are built, compared and closed as
+sorted image tuples ("words"); ``Permutation`` objects appear only at the
+API.  Inside a parent table G, subgroups, cosets and double cosets are
+sorted tuples of G's element indices.  A table built on its own becomes a
+subgroup of G only through ``G.indices_of(table)``, the one conversion and
+the one membership check.  Everything is desk scale by design: this module
 alone decides the element-count cap, ``DEFAULT_CAP``, and refuses a larger
 group before enumerating it where its order is known in advance.
 """
@@ -144,20 +145,15 @@ class GroupTable:
 
         return row
 
-    def indices_of(self, elems: Iterable[Permutation]) -> tuple[int, ...]:
-        """Sorted positions of the given elements in this group's ordering;
-        a ``GroupTable`` is read through its words."""
-        words = elems.words if isinstance(elems, GroupTable) else (e.images for e in elems)
+    def indices_of(self, sub: GroupTable) -> tuple[int, ...]:
+        """The separately built group ``sub`` as sorted positions in this
+        group: the one conversion into a subgroup and the one check that it
+        lies inside, a ``ValueError`` naming its first element outside."""
         try:
-            return tuple(sorted([self._index[w] for w in words]))
+            return tuple(sorted([self._index[w] for w in sub.words]))
         except KeyError as exc:
             word = exc.args[0]
             raise ValueError(f"{Permutation(word)} is not an element of this group") from None
-
-    def is_subgroup_of(self, parent: "GroupTable") -> bool:
-        return self.degree == parent.degree and all(
-            map(parent._index.__contains__, self.words)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupTable):
@@ -236,40 +232,26 @@ def check_points(points: tuple[int, ...], degree: int) -> None:
             raise ValueError(f"point {q} out of range for degree {degree}")
 
 
-def stabilizer(group: GroupTable, points: tuple[int, ...]) -> GroupTable:
-    """Subgroup of elements fixing every point of ``points`` (pointwise)."""
+def stabilizer(group: GroupTable, points: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted indices of the elements fixing every point of ``points``."""
     check_points(points, group.degree)
     fixed = list(points)
-    return GroupTable._from_words([w for w in group.words if [w[q] for q in points] == fixed])
+    return tuple(i for i, w in enumerate(group.words) if [w[q] for q in points] == fixed)
 
 
-def conjugate_subgroup(pi: Permutation, subgroup: GroupTable) -> GroupTable:
-    """The conjugate group pi * K * pi^-1."""
-    if pi.degree != subgroup.degree:
-        raise ValueError(f"degree mismatch: {pi.degree} vs {subgroup.degree}")
-    p, inv = pi.images, pi.inverse().images
-    return GroupTable._from_words(
-        sorted(tuple([p[k[j]] for j in inv]) for k in subgroup.words)
-    )
+def conjugate_subgroup(
+    group: GroupTable, pi: Permutation, h: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The conjugate pi * H * pi^-1 of the subgroup ``h`` of ``group``, as
+    sorted indices; ``pi`` must be an element of ``group``."""
+    p, p_inv = group.index(pi), group.index(pi.inverse())
+    return tuple(sorted(group.mul(group.mul(p, k), p_inv) for k in h))
 
 
-def intersection(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Intersection of two groups of equal degree (always a group)."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return GroupTable._from_words([w for w in a.words if w in b._index])
-
-
-def _require_subgroup(parent: GroupTable, sub: GroupTable, name: str) -> None:
-    if not sub.is_subgroup_of(parent):
-        raise ValueError(f"{name} is not a subgroup of the parent group")
-
-
-def left_cosets(parent: GroupTable, subgroup: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """Partition of ``parent`` into left cosets g*subgroup: sorted blocks of
-    parent indices, ordered by their minimal member."""
-    _require_subgroup(parent, subgroup, "subgroup")
-    row = parent.right_products(parent.indices_of(subgroup))
+def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Partition of ``parent`` into the left cosets g*K of the subgroup ``k``:
+    sorted blocks of parent indices, ordered by their minimal member."""
+    row = parent.right_products(k)
     covered: set[int] = set()
     blocks = []
     for i in range(parent.order):
@@ -299,17 +281,13 @@ class DoubleCoset:
 
 def double_coset(
     parent: GroupTable,
-    h: GroupTable,
+    h: tuple[int, ...],
     pi: Permutation,
-    k: GroupTable,
+    k: tuple[int, ...],
 ) -> DoubleCoset:
     """Enumerate H*pi*K as the left cosets of K that meet H*pi."""
-    _require_subgroup(parent, h, "H")
-    _require_subgroup(parent, k, "K")
-    if pi not in parent:
-        raise ValueError("pi is not an element of the parent group")
     p = parent.index(pi)
-    h_pi = {parent.mul(a, p) for a in parent.indices_of(h)}
+    h_pi = {parent.mul(a, p) for a in h}
     blocks = tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))
     elements = tuple(sorted(i for block in blocks for i in block))
     return DoubleCoset(elements, blocks)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .majorize import _numerators, nonnegative_rationals
+from .majorize import _exact_rational, _numerators, nonnegative_rationals
 
 _ZERO = Fraction(0)
 
@@ -135,7 +135,7 @@ def guesswork(x: Sequence) -> Fraction:
 
 
 def _check_alpha(alpha) -> Fraction:
-    a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    a = _exact_rational(alpha)
     if not 0 < a <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {a}")
     return a

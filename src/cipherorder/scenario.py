@@ -18,7 +18,9 @@ A scenario is a JSON object like::
 Group and subset specs use the named constructors ``sym(m)``, ``cyclic(m)``,
 ``stab(m, t)`` (the full symmetric group on {0..m-1} fixing point t) and
 ``gen([[...], ...])`` (the group generated by explicit image arrays).
-Product expressions list cipher names with the rightmost applied first.
+``parse_subgroup`` turns a subgroup spec into sorted indices of the ambient
+group, the form every subgroup takes inside the library.  Product
+expressions list cipher names with the rightmost applied first.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .dist import (
     convolve_all,
     deterministic,
     translate,
-    uniform_on_elements,
+    uniform_on,
 )
 from .groups import (
     DEFAULT_CAP,
@@ -55,6 +57,17 @@ _SYM_RE = re.compile(r"sym\(\s*(\d+)\s*\)\Z")
 _CYCLIC_RE = re.compile(r"cyclic\(\s*(\d+)\s*\)\Z")
 _STAB_RE = re.compile(r"stab\(\s*(\d+)\s*,\s*(\d+)\s*\)\Z")
 _GEN_RE = re.compile(r"gen\((.*)\)\Z", re.DOTALL)
+
+
+def _json(text: str, where: str) -> Any:
+    """``text`` read as JSON; malformed or too deeply nested input, or an
+    integer past Python's digit limit, is a ``ScenarioError`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{where}: JSON nested too deeply") from None
 
 
 def parse_permutation(value: Any, *, where: str, degree: int | None = None) -> Permutation:
@@ -96,12 +109,10 @@ def parse_group_spec(spec: str, *, where: str, degree: int | None = None) -> Gro
             size, fixed = _degree(m.group(1), "stab"), int(m.group(2))
             if fixed >= size:
                 raise ScenarioError(f"{where}: stab point {fixed} out of range")
-            group = stabilizer(symmetric_group(size), (fixed,))
+            sym = symmetric_group(size)
+            group = GroupTable._from_words([sym.words[i] for i in stabilizer(sym, (fixed,))])
         elif m := _GEN_RE.match(text):
-            try:
-                words = json.loads(m.group(1))
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"{where}: bad gen(...) payload: {exc}") from None
+            words = _json(m.group(1), f"{where}.gen")
             if not isinstance(words, list) or not words:
                 raise ScenarioError(f"{where}: gen(...) needs a list of permutations")
             gens = [
@@ -136,31 +147,34 @@ def parse_cipher_spec(
         raise ScenarioError(f"{where}: a cipher spec is a one-key object")
     kind, payload = next(iter(spec.items()))
     if kind == "uniform_on":
-        sub = parse_group_spec(payload, where=f"{where}.uniform_on", degree=group.degree)
-        _require_inside(sub, group, where=f"{where}.uniform_on")
-        return uniform_on_elements(group, sub)
+        return uniform_on(group, parse_subgroup(payload, group, where=f"{where}.uniform_on"))
     if kind == "deterministic":
-        p = parse_permutation(payload, where=f"{where}.deterministic", degree=group.degree)
-        if p not in group:
-            raise ScenarioError(f"{where}.deterministic: {p} is not in the group")
-        return deterministic(group, p)
+        return deterministic(group, _element(payload, group, where=f"{where}.deterministic"))
     if kind == "coset":
         if not isinstance(payload, dict) or set(payload) != {"rep", "subgroup"}:
             raise ScenarioError(f"{where}.coset: needs 'rep' and 'subgroup'")
-        rep = parse_permutation(payload["rep"], where=f"{where}.coset.rep", degree=group.degree)
-        if rep not in group:
-            raise ScenarioError(f"{where}.coset.rep: {rep} is not in the group")
-        sub = parse_group_spec(
-            payload["subgroup"], where=f"{where}.coset.subgroup", degree=group.degree
-        )
-        _require_inside(sub, group, where=f"{where}.coset.subgroup")
-        return translate(rep, uniform_on_elements(group, sub))
+        rep = _element(payload["rep"], group, where=f"{where}.coset.rep")
+        h = parse_subgroup(payload["subgroup"], group, where=f"{where}.coset.subgroup")
+        return translate(rep, uniform_on(group, h))
     raise ScenarioError(f"{where}: unknown cipher constructor {kind!r}")
 
 
-def _require_inside(sub: GroupTable, group: GroupTable, *, where: str) -> None:
-    if not sub.is_subgroup_of(group):
-        raise ScenarioError(f"{where}: not a subgroup of the scenario group")
+def parse_subgroup(spec: Any, group: GroupTable, *, where: str) -> tuple[int, ...]:
+    """The group spec ``spec`` as a subgroup of ``group``: sorted indices of
+    ``group``, or a ``ScenarioError`` naming ``where`` if it leaves it."""
+    sub = parse_group_spec(spec, where=where, degree=group.degree)
+    try:
+        return group.indices_of(sub)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: not a subgroup of the group: {exc}") from None
+
+
+def _element(value: Any, group: GroupTable, *, where: str) -> Permutation:
+    """The permutation ``value``, refused unless it lies in ``group``."""
+    p = parse_permutation(value, where=where, degree=group.degree)
+    if p not in group:
+        raise ScenarioError(f"{where}: {p} is not in the group")
+    return p
 
 
 @dataclass(frozen=True)
@@ -185,10 +199,7 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text, resolving every named object."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"not valid JSON: {exc}") from None
+    raw = _json(text, "scenario")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
 
@@ -233,6 +244,8 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ScenarioError(f"compare[{i}]: must be a [left, right] pair")
         for name in pair:
+            if not isinstance(name, str):
+                raise ScenarioError(f"compare[{i}]: names must be strings")
             if name not in known:
                 raise ScenarioError(f"compare[{i}]: unknown name {name!r}")
         compare.append((pair[0], pair[1]))

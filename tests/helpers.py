@@ -71,27 +71,28 @@ def majorized_pair(
     return x, y
 
 
-def random_subgroup(rng: random.Random, group: GroupTable) -> GroupTable:
-    """A varied-size subgroup: trivial, a point stabilizer, cyclic, or
-    generated by two random elements."""
+def random_subgroup(rng: random.Random, group: GroupTable) -> tuple[int, ...]:
+    """A varied-size subgroup as sorted indices of ``group``: trivial, a
+    point stabilizer, cyclic, or generated by two random elements."""
     kind = rng.choice(["trivial", "stab", "cyclic", "two-gen"])
-    if kind == "trivial":
-        return closure([identity(group.degree)])
     if kind == "stab":
         return stabilizer(group, (rng.randrange(group.degree),))
-    if kind == "cyclic":
-        return closure([rng.choice(group.elements)])
-    return closure([rng.choice(group.elements), rng.choice(group.elements)])
+    if kind == "trivial":
+        gens = [identity(group.degree)]
+    elif kind == "cyclic":
+        gens = [rng.choice(group.elements)]
+    else:
+        gens = [rng.choice(group.elements), rng.choice(group.elements)]
+    return group.indices_of(closure(gens))
 
 
 def random_dist_on(
-    rng: random.Random, group: GroupTable, subgroup: GroupTable
+    rng: random.Random, group: GroupTable, subgroup: tuple[int, ...]
 ) -> CipherDist:
     """Random exact distribution supported inside a subgroup (zeros allowed)."""
-    indices = group.indices_of(subgroup)
-    weights = rational_prob_vector(rng, len(indices))
+    weights = rational_prob_vector(rng, len(subgroup))
     mass = [Fraction(0)] * group.order
-    for i, w in zip(indices, weights):
+    for i, w in zip(subgroup, weights):
         mass[i] = w
     return CipherDist(group, tuple(mass))
 
@@ -273,12 +274,12 @@ def dist_over(
     rng: random.Random,
     group: GroupTable,
     total: int,
-    subgroup: GroupTable | None = None,
+    subgroup: tuple[int, ...] | None = None,
 ) -> CipherDist:
     """Random distribution whose masses are w / total for integer weights
     w summing to total, so every denominator divides total; supported
-    inside ``subgroup`` if one is given."""
-    indices = group.indices_of(subgroup) if subgroup is not None else range(group.order)
+    inside ``subgroup`` (parent indices) if one is given."""
+    indices = subgroup if subgroup is not None else range(group.order)
     cuts = sorted(rng.randint(0, total) for _ in range(len(indices) - 1))
     weights = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
     mass = [Fraction(0)] * group.order

@@ -18,7 +18,7 @@ from cipherorder.experiments import (
     run_general_collapse,
 )
 from cipherorder.majorize import Relation
-from cipherorder.scenario import parse_group_spec, parse_permutation
+from cipherorder.scenario import parse_group_spec, parse_permutation, parse_subgroup
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -484,7 +484,7 @@ def _experiment_case(command, setup, extra, run):
 
     def result():
         g = parse_group_spec(group, where="group")
-        h = parse_group_spec(subgroup, where="subgroup", degree=g.degree)
+        h = parse_subgroup(subgroup, g, where="subgroup")
         p = parse_permutation(json.loads(pi), where="pi", degree=g.degree)
         return run(g, h, p)
 
@@ -626,6 +626,58 @@ def test_boolean_permutation_entries_exit_two(capsys):
     argv += ["--pi", "[0,2,true]"]
     assert main(argv) == 2
     assert "--pi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subgroup, pi, flag",
+    [
+        ("gen([[1,0,2]])", "[0,1,2]", "--subgroup"),
+        ("cyclic(3)", "[1,0,2]", "--pi"),
+    ],
+)
+def test_experiment_setup_outside_the_group_names_the_flag(capsys, subgroup, pi, flag):
+    argv = ["expand", "--group", "cyclic(3)", "--subgroup", subgroup, "--pi", pi]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert "[1,0,2] is not" in captured.err
+
+
+def test_non_string_compare_name_exits_two(tmp_path, capsys):
+    scenario = dict(SCENARIO, compare=[[["X"], "Y"]])
+    path = write(tmp_path, "bad_compare.json", json.dumps(scenario))
+    assert main(["compare", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: compare[0]: names must be strings\n"
+
+
+# JSON nested 20,000 deep, past the parser's recursion limit, and an integer
+# past Python's 4300-digit limit on int strings
+UNREADABLE_JSON = {
+    "nested": ("[" * 20_000 + "]" * 20_000, "JSON nested too deeply\n"),
+    "digits": ("[" + "1" * 5000 + "]", "not valid JSON: Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("payload, message", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+@pytest.mark.parametrize(
+    "where, name",
+    [("scenario", "scenario"), ("--subgroup", "--subgroup.gen"), ("--pi", "--pi")],
+)
+def test_unreadable_json_exits_two(tmp_path, capsys, where, name, payload, message):
+    argv = ["expand", "--group", "sym(3)", "--subgroup", "gen([[1,0,2]])", "--pi", "[0,2,1]"]
+    if where == "scenario":
+        argv = ["compare", write(tmp_path, "bad.json", payload)]
+    elif where == "--subgroup":
+        argv[4] = f"gen({payload})"
+    else:
+        argv[6] = payload
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}: {message}")
 
 
 def test_usage_errors(capsys):

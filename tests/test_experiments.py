@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cipherorder.dist import convolve, deterministic, translate, uniform_on_elements
+from cipherorder.dist import convolve, deterministic, translate, uniform_on
 from cipherorder.experiments import (
     emit_report,
     run_amplifier,
@@ -14,15 +15,23 @@ from cipherorder.experiments import (
     run_expand,
     run_general_collapse,
 )
-from cipherorder.groups import GroupSizeError, closure, stabilizer, symmetric_group
+from cipherorder.groups import (
+    GroupSizeError,
+    closure,
+    conjugate_subgroup,
+    stabilizer,
+    symmetric_group,
+)
 from cipherorder.perms import transposition
+
+from helpers import random_subgroup
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
-H01 = closure([transposition(3, 0, 1)])
+H01 = S3.indices_of(closure([transposition(3, 0, 1)]))
 PI = transposition(3, 1, 2)
 
 
@@ -65,8 +74,8 @@ class TestExpand:
         # in sym(4), H = <(0 1)(2 3), (0 2)(1 3)> is normal: expansion fails
         from cipherorder.perms import Permutation
 
-        klein = closure(
-            [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))]
+        klein = S4.indices_of(
+            closure([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
         )
         result = run_expand(S4, klein, transposition(4, 0, 1), q_max=1)
         rows = row_map(result)
@@ -88,11 +97,11 @@ class TestCollapse:
 
     def test_mirror_of_expand(self):
         collapse_t = translate(
-            PI, uniform_on_elements(S3, H01)
+            PI, uniform_on(S3, H01)
         )  # supp(T) = pi H
         result = run_collapse(S3, H01, PI)
         assert result.passed
-        x = uniform_on_elements(S3, H01)
+        x = uniform_on(S3, H01)
         y = deterministic(S3, PI.inverse())
         xc = translate(PI, x)
         assert convolve(xc, convolve(y, xc)) == collapse_t
@@ -137,6 +146,28 @@ class TestGeneralCollapse:
     def test_rejects_bad_rounds(self):
         with pytest.raises(ValueError):
             run_general_collapse(S3, H01, PI, 0)
+
+
+def test_reports_invariant_under_relabelling():
+    # renaming the messages by sigma conjugates H and pi; every row of every
+    # report is a count, a verdict or a metric that the renaming preserves
+    rng = random.Random(31)
+    for group in (S3, S4, symmetric_group(5)):
+        q_max = min(group.degree, 3)
+        runs = (
+            lambda h, pi: run_expand(group, h, pi, q_max=q_max),
+            lambda h, pi: run_collapse(group, h, pi, q_max=q_max),
+            lambda h, pi: run_general_collapse(group, h, pi, 2),
+        )
+        for _ in range(20):
+            h = random_subgroup(rng, group)
+            pi = rng.choice(group.elements)
+            sigma = rng.choice(group.elements)
+            h_sigma = conjugate_subgroup(group, sigma, h)
+            pi_sigma = sigma * pi * sigma.inverse()
+            for run in runs:
+                report = emit_report([run(h, pi)], "csv")
+                assert emit_report([run(h_sigma, pi_sigma)], "csv") == report
 
 
 class TestAmplifier:

@@ -11,7 +11,6 @@ from cipherorder.groups import (
     conjugate_subgroup,
     cyclic_group,
     double_coset,
-    intersection,
     left_cosets,
     stabilizer,
     symmetric_group,
@@ -22,12 +21,13 @@ from helpers import enumerate_subgroup_oracle, random_subgroup
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
-H01 = closure([transposition(3, 0, 1)])
+H01_TABLE = closure([transposition(3, 0, 1)])
+H01 = S3.indices_of(H01_TABLE)
 
 
 def test_closure_of_transposition():
-    assert H01.order == 2
-    assert identity(3) in H01
+    assert H01_TABLE.order == 2
+    assert identity(3) in H01_TABLE
 
 
 def test_closure_matches_brute_force_oracle():
@@ -101,7 +101,8 @@ def test_group_table_rejects_non_closed_sets():
 def test_mul_matches_compose():
     # seed 5 draws cyclic, two-generator, stabilizer and trivial subgroups
     rng = random.Random(5)
-    for table in [S4] + [random_subgroup(rng, S4) for _ in range(6)]:
+    subgroups = [random_subgroup(rng, S4) for _ in range(6)]
+    for table in [S4] + [GroupTable(map(S4.element, h)) for h in subgroups]:
         for i, a in enumerate(table.elements):
             for j, b in enumerate(table.elements):
                 assert table.mul(i, j) == table.index(compose(a, b))
@@ -122,7 +123,7 @@ def test_symmetric_group_is_lexicographic():
 
 
 def test_left_cosets_whole_group():
-    blocks = left_cosets(S3, S3)
+    blocks = left_cosets(S3, tuple(range(S3.order)))
     assert len(blocks) == 1
 
 
@@ -137,47 +138,53 @@ def test_left_cosets_of_order_two_subgroup():
     assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
     for block in blocks:
         rep = S3.element(block[0])
-        assert block == tuple(sorted(S3.index(compose(rep, b)) for b in H01))
+        assert block == tuple(sorted(S3.index(compose(rep, b)) for b in H01_TABLE))
 
 
 def test_left_cosets_of_trivial_subgroup():
-    blocks = left_cosets(S3, closure([identity(3)]))
+    blocks = left_cosets(S3, S3.indices_of(closure([identity(3)])))
     assert len(blocks) == 6
     assert all(len(block) == 1 for block in blocks)
 
 
-def test_left_cosets_requires_subgroup():
-    with pytest.raises(ValueError):
-        left_cosets(closure([cycle(3, (0, 1, 2))]), H01)
+def test_indices_of_rejects_a_table_outside_the_parent():
+    c3 = closure([cycle(3, (0, 1, 2))])
+    with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):
+        c3.indices_of(H01_TABLE)
+    with pytest.raises(ValueError, match=r"^\[0,1,2,3\] is not an element"):
+        S3.indices_of(S4)
+    assert S4.indices_of(S4) == tuple(range(S4.order))
 
 
 def test_conjugate_by_identity():
-    assert conjugate_subgroup(identity(3), H01) == H01
+    assert conjugate_subgroup(S3, identity(3), H01) == H01
 
 
 def test_conjugate_transposition_example():
-    conj = conjugate_subgroup(transposition(3, 1, 2), H01)
-    assert set(conj.elements) == {identity(3), transposition(3, 0, 2)}
+    conj = conjugate_subgroup(S3, transposition(3, 1, 2), H01)
+    assert list(conj) == sorted(conj)
+    assert set(map(S3.element, conj)) == {identity(3), transposition(3, 0, 2)}
 
 
 def test_conjugate_moves_stabilized_point():
     pi = cycle(4, (0, 1, 2, 3))
     stab0 = stabilizer(S4, (0,))
-    assert conjugate_subgroup(pi, stab0) == stabilizer(S4, (pi.apply(0),))
+    assert conjugate_subgroup(S4, pi, stab0) == stabilizer(S4, (pi.apply(0),))
 
 
 def test_stabilizer_examples():
-    assert stabilizer(S3, ()) == S3
+    assert stabilizer(S3, ()) == tuple(range(S3.order))
     stab0 = stabilizer(S3, (0,))
-    assert set(stab0.elements) == {identity(3), transposition(3, 1, 2)}
-    assert stabilizer(S3, (0, 1)).order == 1
+    assert list(stab0) == sorted(stab0)
+    assert set(map(S3.element, stab0)) == {identity(3), transposition(3, 1, 2)}
+    assert len(stabilizer(S3, (0, 1))) == 1
     with pytest.raises(ValueError):
         stabilizer(S3, (0, 0))
 
 
 def test_double_coset_collapses_for_pi_in_h():
     dc = double_coset(S3, H01, transposition(3, 0, 1), H01)
-    assert set(dc.elements) == set(S3.indices_of(H01))
+    assert set(dc.elements) == set(H01)
     assert dc.m == 1
 
 
@@ -188,7 +195,7 @@ def test_double_coset_expands():
     # brute-force oracle: enumerate h * pi * h'
     pi = transposition(3, 1, 2)
     oracle = {
-        S3.index(compose(compose(a, pi), b)) for a in H01 for b in H01
+        S3.index(compose(compose(a, pi), b)) for a in H01_TABLE for b in H01_TABLE
     }
     assert set(dc.elements) == oracle
 
@@ -197,14 +204,16 @@ def test_double_coset_complement_of_stabilizer():
     stab2 = stabilizer(S3, (2,))
     dc = double_coset(S3, stab2, cycle(3, (0, 1, 2)), stab2)
     assert len(dc.elements) == 6 - 2  # 3! - 2!
-    assert set(dc.elements) == set(range(6)) - set(S3.indices_of(stab2))
+    assert set(dc.elements) == set(range(6)) - set(stab2)
 
 
-def test_double_coset_requires_membership():
-    with pytest.raises(ValueError):
-        double_coset(closure([cycle(3, (0, 1, 2))]), H01, identity(3), H01)
-    with pytest.raises(ValueError):
+def test_double_coset_rejects_pi_outside_the_parent():
+    with pytest.raises(ValueError, match="is not an element of this group"):
         double_coset(S3, H01, identity(4), H01)
+    c3 = closure([cycle(3, (0, 1, 2))])
+    trivial = c3.indices_of(closure([identity(3)]))
+    with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):
+        double_coset(c3, trivial, transposition(3, 0, 1), trivial)
 
 
 def test_randomized_lagrange_and_orbit_stabilizer():
@@ -214,23 +223,29 @@ def test_randomized_lagrange_and_orbit_stabilizer():
             h = random_subgroup(rng, group)
             k = random_subgroup(rng, group)
             pi = rng.choice(group.elements)
-            assert group.order % h.order == 0
+            h_elems = [group.element(i) for i in h]
+            k_elems = [group.element(i) for i in k]
+            assert group.order % len(h) == 0
             blocks = left_cosets(group, h)
-            assert len(blocks) == group.order // h.order
+            assert len(blocks) == group.order // len(h)
             covered = sorted(i for block in blocks for i in block)
             assert covered == list(range(group.order))
 
             dc = double_coset(group, h, pi, k)
-            stab = intersection(h, conjugate_subgroup(pi, k))
-            assert dc.m * stab.order == h.order
-            assert len(dc.elements) == dc.m * k.order
+            stab = set(h) & set(conjugate_subgroup(group, pi, k))
+            assert dc.m * len(stab) == len(h)
+            assert len(dc.elements) == dc.m * len(k)
             in_blocks = sorted(i for block in dc.left_blocks for i in block)
             assert in_blocks == list(dc.elements)
-            oracle = {group.index(compose(compose(a, pi), b)) for a in h for b in k}
+            oracle = {
+                group.index(compose(compose(a, pi), b)) for a in h_elems for b in k_elems
+            }
             assert set(dc.elements) == oracle
             for block in dc.left_blocks:
                 rep = group.element(block[0])
-                assert block == tuple(sorted(group.index(compose(rep, b)) for b in k))
+                assert block == tuple(
+                    sorted(group.index(compose(rep, b)) for b in k_elems)
+                )
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -252,6 +267,12 @@ def assert_table(table, expected):
     assert table == GroupTable(expected)
 
 
+def assert_indices(group, indices, expected):
+    """``indices`` are the sorted positions in ``group`` of exactly the
+    permutations ``expected``."""
+    assert indices == tuple(sorted(group.index(g) for g in expected))
+
+
 def test_words_first_constructors_match_the_oracle():
     rng = random.Random(11)
     for group in (S3, S4, symmetric_group(5)):
@@ -261,12 +282,19 @@ def test_words_first_constructors_match_the_oracle():
             assert_table(closure(gens), enumerate_subgroup_oracle(gens))
 
             pi = rng.choice(group.elements)
-            conj = [compose(compose(pi, a), pi.inverse()) for a in h]
-            assert_table(conjugate_subgroup(pi, h), enumerate_subgroup_oracle(conj))
+            h_elems = [group.element(i) for i in h]
+            conj = [compose(compose(pi, a), pi.inverse()) for a in h_elems]
+            assert_indices(
+                group, conjugate_subgroup(group, pi, h), enumerate_subgroup_oracle(conj)
+            )
 
-            both = [g for g in h if g in k]
-            assert_table(intersection(h, k), enumerate_subgroup_oracle(both))
+            # intersection is a set operation on parent indices
+            both = [g for g in h_elems if group.index(g) in k]
+            both_indices = tuple(sorted(set(h) & set(k)))
+            assert_indices(group, both_indices, enumerate_subgroup_oracle(both))
 
             points = tuple(rng.sample(range(group.degree), rng.randrange(3)))
             fixing = [g for g in group if all(g.fixes(q) for q in points)]
-            assert_table(stabilizer(group, points), enumerate_subgroup_oracle(fixing))
+            assert_indices(
+                group, stabilizer(group, points), enumerate_subgroup_oracle(fixing)
+            )

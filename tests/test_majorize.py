@@ -96,6 +96,22 @@ def test_float_entries_are_refused_everywhere(call):
         call([0.5, 0.5])
 
 
+# 0.2 is the binary fraction just above 1/5, so reading it as a Fraction
+# would cost one more guess than the exact alpha 1/5
+FLOAT_ALPHA_CASES = {
+    "marginal_guesswork": (marginal_guesswork, 2),
+    "alpha_guesswork": (alpha_guesswork, F(19, 10)),
+}
+
+
+@pytest.mark.parametrize("call, exact", FLOAT_ALPHA_CASES.values(), ids=FLOAT_ALPHA_CASES)
+def test_float_alpha_is_refused_like_float_entries(call, exact):
+    x = [F(1, 10)] * 10
+    assert call(x, F(1, 5)) == exact
+    with pytest.raises(TypeError, match=r"^expected exact rational entries, got float$"):
+        call(x, 0.2)
+
+
 def test_zero_padding_of_shorter_vector():
     assert compare([F(1, 2), F(1, 2)], [F(1), F(0), F(0)]).is_strictly_below
     assert compare([F(1, 2), F(1, 2)], [F(1)]).is_strictly_below

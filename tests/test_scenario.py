@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from cipherorder.dist import deterministic, translate, uniform_on_elements
-from cipherorder.groups import closure, stabilizer, symmetric_group
+from cipherorder.dist import deterministic, translate, uniform_on
+from cipherorder.groups import GroupTable, closure, stabilizer, symmetric_group
 from cipherorder.perms import Permutation, transposition
 from cipherorder.scenario import (
     ScenarioError,
     parse_group_spec,
     parse_scenario,
+    parse_subgroup,
 )
 
 F = Fraction
@@ -49,8 +50,10 @@ def test_minimal_scenario_parses():
 def test_group_spec_constructors():
     assert parse_group_spec("sym(3)", where="t").order == 6
     assert parse_group_spec("cyclic(4)", where="t").order == 4
+    s4 = symmetric_group(4)
     stab = parse_group_spec("stab(4, 3)", where="t")
-    assert stab == stabilizer(symmetric_group(4), (3,))
+    assert stab == GroupTable(map(s4.element, stabilizer(s4, (3,))))
+    assert parse_subgroup("stab(4, 3)", s4, where="t") == stabilizer(s4, (3,))
     gen = parse_group_spec("gen([[1,0,2]])", where="t")
     assert gen == closure([transposition(3, 0, 1)])
     with pytest.raises(ScenarioError):
@@ -62,12 +65,11 @@ def test_group_spec_constructors():
 def test_full_scenario_resolves_distributions():
     scenario = parse_scenario(EXPANSION)
     group = scenario.group
-    h = closure([transposition(3, 0, 1)])
-    assert scenario.ciphers["X"] == uniform_on_elements(group, h)
+    h = group.indices_of(closure([transposition(3, 0, 1)]))
+    assert parse_subgroup("gen([[1,0,2]])", group, where="t") == h
+    assert scenario.ciphers["X"] == uniform_on(group, h)
     assert scenario.ciphers["Y"] == deterministic(group, transposition(3, 1, 2))
-    assert scenario.ciphers["W"] == translate(
-        transposition(3, 1, 2), uniform_on_elements(group, h)
-    )
+    assert scenario.ciphers["W"] == translate(transposition(3, 1, 2), uniform_on(group, h))
     t = scenario.distribution("T")
     assert t.support_size() == 4
     assert scenario.distribution("D").support_size() == 2
@@ -85,6 +87,11 @@ def test_unknown_compare_name():
     bad["compare"] = [["T", "Nope"]]
     with pytest.raises(ScenarioError, match="Nope"):
         parse_scenario(json.dumps(bad))
+    # a name that is not a string is refused, not hashed or printed
+    for name in (["X"], {"X": 1}, 3):
+        bad["compare"] = [["T", "D"], [name, "Y"]]
+        with pytest.raises(ScenarioError, match=r"^compare\[1\]: names must be strings$"):
+            parse_scenario(json.dumps(bad))
 
 
 def test_non_bijection_permutation():
@@ -114,7 +121,10 @@ def test_subgroup_outside_group():
         "group": "cyclic(3)",
         "ciphers": {"X": {"uniform_on": "gen([[1,0,2]])"}},
     }
-    with pytest.raises(ScenarioError, match="subgroup"):
+    with pytest.raises(ScenarioError, match=r"^ciphers\.X\.uniform_on: not a subgroup"):
+        parse_scenario(json.dumps(bad))
+    bad["ciphers"] = {"W": {"coset": {"rep": [0, 1, 2], "subgroup": "gen([[1,0,2]])"}}}
+    with pytest.raises(ScenarioError, match=r"^ciphers\.W\.coset\.subgroup: not a subgroup"):
         parse_scenario(json.dumps(bad))
 
 
