@@ -25,9 +25,9 @@ def main() -> int:
     s3 = symmetric_group(3)
     s4 = symmetric_group(4)
     h3 = s3.indices_of(closure([transposition(3, 0, 1)]))
-    pi3 = transposition(3, 1, 2)
+    pi3 = s3.index(transposition(3, 1, 2))
     h4 = stabilizer(s4, (3,))
-    pi4 = transposition(4, 2, 3)
+    pi4 = s4.index(transposition(4, 2, 3))
 
     results = [
         run_expand(s3, h3, pi3),

@@ -17,7 +17,6 @@ from .dist import (
     uniform_on,
 )
 from .groups import (
-    DoubleCoset,
     GroupSizeError,
     GroupTable,
     closure,
@@ -44,7 +43,7 @@ from .metrics import (
     shannon_entropy,
     variation_to_uniform,
 )
-from .perms import Permutation, compose, cycle, from_cycles, identity, transposition
+from .perms import Permutation, compose, cycle, identity, transposition
 from .qsecurity import (
     ComparisonReport,
     Direction,
@@ -58,7 +57,6 @@ __all__ = [
     "CipherDist",
     "ComparisonReport",
     "Direction",
-    "DoubleCoset",
     "DoublyStochasticWitness",
     "GroupSizeError",
     "GroupTable",
@@ -83,7 +81,6 @@ __all__ = [
     "deterministic",
     "distinct_tuples",
     "double_coset",
-    "from_cycles",
     "guesswork",
     "hlp_witness",
     "identity",

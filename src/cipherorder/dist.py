@@ -6,8 +6,8 @@ distribution is stored as integer numerators over one denominator, in lowest
 terms, and every constructor, product, translate and triple decomposition
 here adds and multiplies ``int``s only, so support sizes, majorization
 verdicts and tie cases are decided exactly.  ``mass`` is the ``Fraction``
-view of the masses for the API.  Subgroups, as in ``groups``, are sorted
-tuples of the group's element indices.
+view of the masses for the API.  As in ``groups``, an element is an index
+of the group and a subgroup a sorted tuple of them.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .groups import DoubleCoset, GroupTable, double_coset
+from .groups import GroupTable, double_coset
 from .majorize import _exact_rational, _numerators
-from .perms import Permutation
 
 _ZERO = Fraction(0)
 
@@ -76,9 +75,6 @@ class CipherDist:
         den = self.den
         return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
 
-    def mass_of(self, g: Permutation) -> Fraction:
-        return Fraction(self.nums[self.group.index(g)], self.den)
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, n in enumerate(self.nums) if n)
 
@@ -108,11 +104,9 @@ def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
     return CipherDist.from_numerators(group, nums, len(indices))
 
 
-def deterministic(group: GroupTable, g: Permutation) -> CipherDist:
-    """Point mass at a single permutation."""
-    nums = [0] * group.order
-    nums[group.index(g)] = 1
-    return CipherDist.from_numerators(group, nums, 1)
+def deterministic(group: GroupTable, g: int) -> CipherDist:
+    """Point mass at the element of index ``g``."""
+    return uniform_on(group, (g,))
 
 
 def _require_same_group(x: CipherDist, y: CipherDist) -> GroupTable:
@@ -150,7 +144,7 @@ def convolve_all(dists: Sequence[CipherDist]) -> CipherDist:
     return acc
 
 
-def translate(g: Permutation, x: CipherDist) -> CipherDist:
+def translate(g: int, x: CipherDist) -> CipherDist:
     """Left translation g . x: the mass of f becomes the prior mass of g^-1 f."""
     return convolve(deterministic(x.group, g), x)
 
@@ -159,8 +153,9 @@ def translate(g: Permutation, x: CipherDist) -> CipherDist:
 class TripleDecomposition:
     """Convex direct-sum decomposition of x * delta_pi * z along left cosets.
 
-    ``weights[i] = weight_nums[i] / weight_den`` is the mass x places on the
-    elements a with a*pi in the left coset ``double_coset.left_blocks[i]``;
+    ``weight_nums[i] / weight_den`` is the mass x places on the elements a
+    with a*pi in the left coset ``blocks[i]`` (the blocks of the double
+    coset H*pi*K, as ``double_coset`` returns them);
     ``parts[i]`` is a probability distribution confined to that coset.
     Blocks with zero weight receive a canonical uniform part so the part
     count always equals the orbit size m.
@@ -169,18 +164,14 @@ class TripleDecomposition:
     weight_nums: tuple[int, ...]
     weight_den: int
     parts: tuple[CipherDist, ...]
-    double_coset: DoubleCoset
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
         return len(self.weight_nums)
 
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w, self.weight_den) for w in self.weight_nums)
-
     def mixture(self) -> CipherDist:
-        """The reconstructed convolution sum_i weights[i] * parts[i], over
+        """The reconstructed convolution sum_i weight_i * parts[i], over
         ``weight_den`` times the lcm of the weighted parts' denominators."""
         group = self.parts[0].group
         live = [(w, part) for w, part in zip(self.weight_nums, self.parts) if w]
@@ -200,7 +191,7 @@ def _check_confined(x: CipherDist, sub: tuple[int, ...], name: str) -> None:
 
 def triple_decompose(
     x: CipherDist,
-    pi: Permutation,
+    pi: int,
     z: CipherDist,
     h: tuple[int, ...],
     k: tuple[int, ...],
@@ -215,8 +206,8 @@ def triple_decompose(
     _check_confined(x, h, "x")
     _check_confined(z, k, "z")
 
-    dc = double_coset(group, h, pi, k)
-    block_of = {i: b for b, block in enumerate(dc.left_blocks) for i in block}
+    blocks = double_coset(group, h, pi, k)
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
 
     # part b is sum_a x(a) delta_a * z_shift over the a in supp(x) with
     # a*pi in block b, divided by the block's weight
@@ -225,21 +216,20 @@ def triple_decompose(
     shift = [z_shift.nums[f] for f in shift_support]
     row = group.right_products(shift_support)
 
-    p = group.index(pi)
-    weights = [0] * dc.m
-    part_nums = [[0] * group.order for _ in range(dc.m)]
+    weights = [0] * len(blocks)
+    part_nums = [[0] * group.order for _ in blocks]
     for a in x.support():
         w = x.nums[a]
-        b = block_of[group.mul(a, p)]
+        b = block_of[group.mul(a, pi)]
         weights[b] += w
         part = part_nums[b]
         for g, mass in zip(row(a), shift):
             part[g] += w * mass
 
     parts = tuple(
-        CipherDist.from_numerators(group, part_nums[b], weights[b] * z_shift.den)
-        if weights[b]
-        else uniform_on(group, dc.left_blocks[b])
-        for b in range(dc.m)
+        CipherDist.from_numerators(group, nums, w * z_shift.den)
+        if w
+        else uniform_on(group, block)
+        for w, nums, block in zip(weights, part_nums, blocks)
     )
-    return TripleDecomposition(tuple(weights), x.den, parts, dc)
+    return TripleDecomposition(tuple(weights), x.den, parts, blocks)

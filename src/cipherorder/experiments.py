@@ -5,9 +5,9 @@ counts (orbit-stabilizer, factorials), actual values from convolution,
 decomposition, majorization and the q-query metrics.  Majorization verdicts,
 entropies and guesswork are taken on each distribution's integer numerators
 by the kernels behind ``majorize.compare`` and ``metrics``, with the same
-values those functions give on the ``Fraction`` masses.  The subgroup H is
-a sorted tuple of the ambient group's element indices.  Identical inputs
-produce byte-identical reports.
+values those functions give on the ``Fraction`` masses.  The element pi is
+an index of the ambient group and the subgroup H a sorted tuple of them.
+Identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class _Rows:
 
 def format_value(value) -> str:
     """A report or metric value as printed: floats to 12 significant
-    digits, everything else through ``str``."""
+    digits, negative zero as 0, everything else through ``str``."""
     if isinstance(value, float):
-        return f"{value:.12g}"
+        # -0.0 + 0.0 is +0.0: an entropy of 0 bits must not print as -0
+        return f"{value + 0.0:.12g}"
     return str(value)
 
 
@@ -126,6 +127,11 @@ def _direction_rows(
         )
 
 
+def _union(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The indices of a double coset, from its left-coset blocks."""
+    return [i for block in blocks for i in block]
+
+
 def _default_q_max(group: GroupTable, q_max: int | None) -> int:
     return min(3, group.degree) if q_max is None else q_max
 
@@ -133,7 +139,7 @@ def _default_q_max(group: GroupTable, q_max: int | None) -> int:
 def run_expand(
     group: GroupTable,
     h: tuple[int, ...],
-    pi: Permutation,
+    pi: int,
     *,
     q_max: int | None = None,
 ) -> ExperimentResult:
@@ -147,7 +153,7 @@ def run_expand(
     d = convolve(x, x)
     rows = _Rows()
 
-    if group.index(pi) in h:
+    if pi in h:
         rows.info("degenerate_pi_in_H", True)
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("expand", rows.done(), degenerate=True)
@@ -155,11 +161,11 @@ def run_expand(
     h_pi = conjugate_subgroup(group, pi, h)
     _assumption_row(rows, h, h_pi)
     decomp = triple_decompose(x, pi, x, h, h)
-    dc = decomp.double_coset
-    rows.exact("support_T", len(dc.elements), t.support_size())
+    hpih = _union(decomp.blocks)
+    rows.exact("support_T", len(hpih), t.support_size())
     rows.exact("support_D", len(h), d.support_size())
     rows.exact("support_expansion", True, t.support_size() > d.support_size())
-    rows.exact("T_uniform_on_HpiH", True, t == uniform_on(group, dc.elements))
+    rows.exact("T_uniform_on_HpiH", True, t == uniform_on(group, hpih))
 
     verdict = _majorization(t, d)
     rows.exact(
@@ -186,7 +192,7 @@ def run_expand(
 def run_collapse(
     group: GroupTable,
     h: tuple[int, ...],
-    pi: Permutation,
+    pi: int,
     *,
     q_max: int | None = None,
 ) -> ExperimentResult:
@@ -194,15 +200,16 @@ def run_collapse(
     at pi^-1.  The alternating T = XYZ collapses back onto pi*H while the
     two-term D = XZ spreads; every metric now favors D."""
     q_max = _default_q_max(group, q_max)
+    pi_inv = group.inverse(pi)
     uniform_h = uniform_on(group, h)
     x = translate(pi, uniform_h)
-    y = deterministic(group, pi.inverse())
+    y = deterministic(group, pi_inv)
     yx = convolve(y, x)
     t = convolve(x, yx)
     d = convolve(x, x)
     rows = _Rows()
 
-    if group.index(pi) in h:
+    if pi in h:
         rows.info("degenerate_pi_in_H", True)
         rows.exact("T_equals_D_distributionally", True, t == d)
         return ExperimentResult("collapse", rows.done(), degenerate=True)
@@ -212,8 +219,8 @@ def run_collapse(
     rows.exact("support_T", len(h), t.support_size())
     rows.exact("supp_T_equals_piH", True, t == x)
 
-    dc = double_coset(group, h, pi, h)
-    rows.exact("support_D", len(dc.elements), d.support_size())
+    hpih = _union(double_coset(group, h, pi, h))
+    rows.exact("support_D", len(hpih), d.support_size())
 
     verdict = _majorization(d, t)
     rows.exact(
@@ -224,8 +231,8 @@ def run_collapse(
     y_exp = deterministic(group, pi)
     t_exp = convolve(uniform_h, convolve(y_exp, uniform_h))
     d_exp = convolve(uniform_h, uniform_h)
-    rows.exact("translated_T_equals_expand_D", True, translate(pi.inverse(), t) == d_exp)
-    rows.exact("translated_D_equals_expand_T", True, translate(pi.inverse(), d) == t_exp)
+    rows.exact("translated_T_equals_expand_D", True, translate(pi_inv, t) == d_exp)
+    rows.exact("translated_D_equals_expand_T", True, translate(pi_inv, d) == t_exp)
 
     _direction_rows(rows, "D_vs_T", d, t, q_max)
     return ExperimentResult("collapse", rows.done())
@@ -234,7 +241,7 @@ def run_collapse(
 def run_general_collapse(
     group: GroupTable,
     h: tuple[int, ...],
-    pi: Permutation,
+    pi: int,
     rounds: int,
 ) -> ExperimentResult:
     """Alternating product over r rounds: E = X_{r+1} Y_r X_r ... Y_1 X_1
@@ -244,10 +251,10 @@ def run_general_collapse(
     if rounds < 1:
         raise ValueError("round count must be at least 1")
     x = translate(pi, uniform_on(group, h))
-    y = deterministic(group, pi.inverse())
+    y = deterministic(group, group.inverse(pi))
     rows = _Rows()
 
-    if group.index(pi) in h:
+    if pi in h:
         rows.info("degenerate_pi_in_H", True)
         return ExperimentResult("general-collapse", rows.done(), degenerate=True)
 
@@ -290,16 +297,16 @@ def run_amplifier(n: int) -> ExperimentResult:
     group = symmetric_group(space)
     fixed_point = space - 1
     h = stabilizer(group, (fixed_point,))
-    pi = Permutation(tuple((i + 1) % space for i in range(space)))
+    pi = group.index(Permutation(tuple((i + 1) % space for i in range(space))))
     x = uniform_on(group, h)
     t = convolve(x, convolve(deterministic(group, pi), x))
     d = convolve(x, x)
     rows = _Rows()
 
-    dc = double_coset(group, h, pi, h)
+    hpih = _union(double_coset(group, h, pi, h))
     rows.exact("support_T", factorial(space) - factorial(space - 1), t.support_size())
-    rows.exact("support_T_matches_double_coset", len(dc.elements), t.support_size())
-    rows.exact("T_uniform_on_double_coset", True, t == uniform_on(group, dc.elements))
+    rows.exact("support_T_matches_double_coset", len(hpih), t.support_size())
+    rows.exact("T_uniform_on_double_coset", True, t == uniform_on(group, hpih))
     rows.exact("supp_D_equals_sym_M", True, d.support() == h)
 
     fix_mass = Fraction(

@@ -4,17 +4,18 @@ Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
 element-for-element identical.  Groups are built, compared and closed as
 sorted image tuples ("words"); ``Permutation`` objects appear only at the
-API.  Inside a parent table G, subgroups, cosets and double cosets are
-sorted tuples of G's element indices.  A table built on its own becomes a
-subgroup of G only through ``G.indices_of(table)``, the one conversion and
-the one membership check.  Everything is desk scale by design: this module
-alone decides the element-count cap, ``DEFAULT_CAP``, and refuses a larger
-group before enumerating it where its order is known in advance.
+API.  Inside a parent table G, an element is an index of G, and subgroups,
+cosets and double cosets are sorted tuples of G's element indices.  A
+``Permutation`` becomes an element of G only through ``G.index``, and a
+table built on its own becomes a subgroup of G only through
+``G.indices_of(table)``: each is the one conversion and the one membership
+check.  Everything is desk scale by design: this module alone decides the
+element-count cap, ``DEFAULT_CAP``, and refuses a larger group before
+enumerating it where its order is known in advance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _words
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -47,10 +48,11 @@ class GroupTable:
 
     ``words`` holds the elements' image tuples, sorted lexicographically,
     and ``elements`` the same elements as ``Permutation``s, built on first
-    read.  ``index`` maps a permutation back to its position and ``mul``
-    multiplies two positions; every index a table takes or returns refers to
-    this table's ordering, never to a subgroup's or a supergroup's.
-    Instances are immutable and safe to share across threads.
+    read.  ``index`` maps a permutation back to its position, ``mul``
+    multiplies two positions and ``inverse`` inverts one; every index a
+    table takes or returns refers to this table's ordering, never to a
+    subgroup's or a supergroup's.  Instances are immutable and safe to
+    share across threads.
     """
 
     __slots__ = ("degree", "words", "_index", "_elements")
@@ -128,6 +130,12 @@ class GroupTable:
         """Index of ``element(i) * element(j)``; ``element(j)`` acts first."""
         a = self.words[i]
         return self._index[tuple([a[k] for k in self.words[j]])]
+
+    def inverse(self, i: int) -> int:
+        """Index of the inverse of ``element(i)``: the points ordered by their
+        images under it."""
+        w = self.words[i]
+        return self._index[tuple(sorted(range(self.degree), key=w.__getitem__))]
 
     def right_products(self, js: Iterable[int]) -> Callable[[int], list[int]]:
         """The map i -> ``[mul(i, j) for j in js]``.
@@ -239,13 +247,11 @@ def stabilizer(group: GroupTable, points: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i, w in enumerate(group.words) if [w[q] for q in points] == fixed)
 
 
-def conjugate_subgroup(
-    group: GroupTable, pi: Permutation, h: tuple[int, ...]
-) -> tuple[int, ...]:
+def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[int, ...]:
     """The conjugate pi * H * pi^-1 of the subgroup ``h`` of ``group``, as
-    sorted indices; ``pi`` must be an element of ``group``."""
-    p, p_inv = group.index(pi), group.index(pi.inverse())
-    return tuple(sorted(group.mul(group.mul(p, k), p_inv) for k in h))
+    sorted indices."""
+    pi_inv = group.inverse(pi)
+    return tuple(sorted(group.mul(group.mul(pi, k), pi_inv) for k in h))
 
 
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -262,32 +268,11 @@ def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...]
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
-    """The set H*pi*K with its decomposition into left cosets of K.
-
-    ``elements`` and ``left_blocks`` are indices into the parent table, and
-    the blocks are ordered by their minimal member; the block count ``m``
-    equals [H : H n pi*K*pi^-1] by orbit-stabilizer.
-    """
-
-    elements: tuple[int, ...]
-    left_blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.left_blocks)
-
-
 def double_coset(
-    parent: GroupTable,
-    h: tuple[int, ...],
-    pi: Permutation,
-    k: tuple[int, ...],
-) -> DoubleCoset:
-    """Enumerate H*pi*K as the left cosets of K that meet H*pi."""
-    p = parent.index(pi)
-    h_pi = {parent.mul(a, p) for a in h}
-    blocks = tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))
-    elements = tuple(sorted(i for block in blocks for i in block))
-    return DoubleCoset(elements, blocks)
+    parent: GroupTable, h: tuple[int, ...], pi: int, k: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """H*pi*K as its left cosets of K: the blocks of ``left_cosets(parent, k)``
+    that meet H*pi, ordered by their minimal member.  Their count is
+    [H : H n pi*K*pi^-1] by orbit-stabilizer."""
+    h_pi = {parent.mul(a, pi) for a in h}
+    return tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))

@@ -9,7 +9,7 @@ cipher ``E = XY`` applies ``Y`` to the plaintext before ``X``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Point = int
 Points = Union[Point, tuple[Point, ...]]
@@ -56,9 +56,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    def fixes(self, q: int) -> bool:
-        return self._apply_point(q) == q
-
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.images)) + "]"
 
@@ -91,11 +88,3 @@ def cycle(m: int, points: Sequence[int]) -> Permutation:
     for i, p in enumerate(points):
         word[p] = points[(i + 1) % len(points)]
     return Permutation(tuple(word))
-
-
-def from_cycles(m: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-    """Product of cycles, rightmost applied first (cycles need not be disjoint)."""
-    result = identity(m)
-    for c in cycles:
-        result = compose(result, cycle(m, c))
-    return result

@@ -19,7 +19,8 @@ Group and subset specs use the named constructors ``sym(m)``, ``cyclic(m)``,
 ``stab(m, t)`` (the full symmetric group on {0..m-1} fixing point t) and
 ``gen([[...], ...])`` (the group generated by explicit image arrays).
 ``parse_subgroup`` turns a subgroup spec into sorted indices of the ambient
-group, the form every subgroup takes inside the library.  Product
+group, and ``_element`` a permutation into its index: the forms every
+subgroup and every element take inside the library.  Product
 expressions list cipher names with the rightmost applied first.
 """
 
@@ -169,12 +170,14 @@ def parse_subgroup(spec: Any, group: GroupTable, *, where: str) -> tuple[int, ..
         raise ScenarioError(f"{where}: not a subgroup of the group: {exc}") from None
 
 
-def _element(value: Any, group: GroupTable, *, where: str) -> Permutation:
-    """The permutation ``value``, refused unless it lies in ``group``."""
+def _element(value: Any, group: GroupTable, *, where: str) -> int:
+    """The permutation ``value`` as an index of ``group``, or a
+    ``ScenarioError`` naming ``where`` if it is not in ``group``."""
     p = parse_permutation(value, where=where, degree=group.degree)
-    if p not in group:
-        raise ScenarioError(f"{where}: {p} is not in the group")
-    return p
+    try:
+        return group.index(p)
+    except ValueError:
+        raise ScenarioError(f"{where}: {p} is not in the group") from None
 
 
 @dataclass(frozen=True)

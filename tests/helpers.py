@@ -138,6 +138,12 @@ def half_l1_to_uniform(xs: list[Fraction]) -> Fraction:
     return sum((abs(v - share) for v in xs), Fraction(0)) / 2
 
 
+def union(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The indices of a double coset, from the blocks ``double_coset``
+    returns."""
+    return [i for block in blocks for i in block]
+
+
 def set_product_support(x: CipherDist, y: CipherDist) -> set[int]:
     """Setwise product of the supports (b applied first)."""
     group = x.group

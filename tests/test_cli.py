@@ -143,6 +143,17 @@ def test_metrics_output(tmp_path, capsys):
         "marginal_guesswork[1/2]\t1\n"
         "alpha_guesswork[1/2]\t1\n"
     )
+    # a point mass has 0 bits of every entropy, printed without a sign;
+    # order 100000 takes the float path
+    point = write(tmp_path, "p.vec", "1")
+    for order in ("2", "1/2", "100000"):
+        assert main(["metrics", point, "--renyi", order]) == 0
+        assert capsys.readouterr().out == (
+            "shannon_entropy_bits\t0\n"
+            "guesswork\t1\n"
+            "variation_to_uniform\t0\n"
+            f"renyi_entropy_bits[{order}]\t0\n"
+        )
 
 
 CLI_PROBE = """\
@@ -486,7 +497,7 @@ def _experiment_case(command, setup, extra, run):
         g = parse_group_spec(group, where="group")
         h = parse_subgroup(subgroup, g, where="subgroup")
         p = parse_permutation(json.loads(pi), where="pi", degree=g.degree)
-        return run(g, h, p)
+        return run(g, h, g.index(p))
 
     return pytest.param(argv, result, id=f"{command}-{group}")
 
@@ -619,6 +630,15 @@ def test_experiment_failure_exit_code(capsys):
         ]
     )
     assert code == 1
+    capsys.readouterr()
+    # the trivial subgroup does not expand either; its entropies of 0 bits
+    # print as 0, not -0
+    argv = ["expand", "--group", "sym(3)", "--subgroup", "gen([[0,1,2]])"]
+    assert main([*argv, "--pi", "[1,0,2]"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines}
+    for row in ("entropy_T_bits", "entropy_D_bits"):
+        assert rows[row] == ["expected=0", "actual=0", "pass"]
 
 
 def test_boolean_permutation_entries_exit_two(capsys):
@@ -642,6 +662,23 @@ def test_experiment_setup_outside_the_group_names_the_flag(capsys, subgroup, pi,
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}: ")
     assert "[1,0,2] is not" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, spec",
+    [
+        ("Y.deterministic", {"deterministic": [1, 0, 2]}),
+        ("Y.coset.rep", {"coset": {"rep": [1, 0, 2], "subgroup": "cyclic(3)"}}),
+    ],
+)
+def test_scenario_element_outside_the_group_names_the_field(tmp_path, capsys, field, spec):
+    # group.index is the one membership check of an element
+    scenario = dict(SCENARIO, group="cyclic(3)", ciphers={"Y": spec})
+    path = write(tmp_path, "outside.json", json.dumps(scenario))
+    assert main(["compare", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ciphers.{field}: [1,0,2] is not in the group\n"
 
 
 def test_non_string_compare_name_exits_two(tmp_path, capsys):

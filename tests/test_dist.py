@@ -31,12 +31,20 @@ from helpers import (
     random_dist_on,
     random_subgroup,
     set_product_support,
+    union,
 )
 
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 H01 = S3.indices_of(closure([transposition(3, 0, 1)]))
 PI = transposition(3, 1, 2)
+P = S3.index(PI)
+ID3 = S3.index(identity(3))
+
+
+def weights(decomp):
+    """The decomposition's weights as ``Fraction``s."""
+    return tuple(Fraction(w, decomp.weight_den) for w in decomp.weight_nums)
 
 
 def test_public_constructor_contract():
@@ -44,19 +52,19 @@ def test_public_constructor_contract():
     # distributions the library builds
     masses = tuple(Fraction(n, 6) for n in (3, 0, 2, 0, 1, 0))
     public = CipherDist(S3, masses)
-    point = deterministic(S3, PI)
+    point = deterministic(S3, P)
     point_masses = tuple(Fraction(int(g == PI)) for g in S3)
     for x, want in ((public, masses), (point, point_masses)):
         assert x.group is S3 and type(x.group) is GroupTable
         assert x.mass == want and all(type(m) is Fraction for m in x.mass)
         for g, m in zip(S3, want):
-            assert x.mass_of(g) == m and type(x.mass_of(g)) is Fraction
+            assert x.mass[S3.index(g)] == m and type(x.mass[S3.index(g)]) is Fraction
         support = tuple(i for i, m in enumerate(want) if m)
         assert x.support() == support and all(type(i) is int for i in support)
         assert x.support_size() == len(support) and type(x.support_size()) is int
     # integer masses are read as Fractions, and the stored form is reduced
     ints = CipherDist(S3, (1, 0, 0, 0, 0, 0))
-    assert ints == deterministic(S3, S3.element(0))
+    assert ints == deterministic(S3, 0)
     assert all(type(m) is Fraction for m in ints.mass)
     assert (public.nums, public.den) == ((3, 0, 2, 0, 1, 0), 6)
 
@@ -92,17 +100,18 @@ def test_uniform_on_examples():
 
 
 def test_deterministic_examples():
-    e = deterministic(S3, identity(3))
-    assert e.mass_of(identity(3)) == 1
-    point = deterministic(S3, PI)
-    assert point.support() == (S3.index(PI),)
-    with pytest.raises(ValueError):
-        deterministic(S3, identity(4))
+    e = deterministic(S3, ID3)
+    assert e.mass[ID3] == 1
+    point = deterministic(S3, P)
+    assert point.support() == (P,)
+    for outside in (-1, S3.order):
+        with pytest.raises(ValueError, match="out of range"):
+            deterministic(S3, outside)
 
 
 def test_convolution_unit_laws():
     x = random_dist(random.Random(1), S3)
-    e = deterministic(S3, identity(3))
+    e = deterministic(S3, ID3)
     assert convolve(e, x) == x
     assert convolve(x, e) == x
 
@@ -110,9 +119,9 @@ def test_convolution_unit_laws():
 def test_convolution_of_point_masses():
     g = transposition(3, 0, 1)
     h = PI
-    assert convolve(deterministic(S3, g), deterministic(S3, h)) == deterministic(
-        S3, g * h
-    )
+    assert convolve(
+        deterministic(S3, S3.index(g)), deterministic(S3, S3.index(h))
+    ) == deterministic(S3, S3.index(g * h))
 
 
 def test_subgroup_idempotence():
@@ -122,11 +131,11 @@ def test_subgroup_idempotence():
 
 
 def test_coset_convolution_spreads_over_double_coset():
-    u_coset = translate(PI, uniform_on(S3, H01))
+    u_coset = translate(P, uniform_on(S3, H01))
     product = convolve(u_coset, u_coset)
     assert product == convolve_oracle(u_coset, u_coset)
-    dc = double_coset(S3, H01, PI, H01)
-    translated = {S3.index(PI * S3.element(i)) for i in dc.elements}
+    blocks = double_coset(S3, H01, P, H01)
+    translated = {S3.index(PI * S3.element(i)) for i in union(blocks)}
     assert set(product.support()) == translated
 
 
@@ -167,9 +176,9 @@ def test_support_nondecreasing_with_identity_in_factor():
     for _ in range(10):
         x = random_dist(rng, S3)
         y = random_dist(rng, S3)
-        if y.mass_of(identity(3)) == 0:
+        if y.mass[ID3] == 0:
             mass = list(y.mass)
-            mass[S3.index(identity(3))] = Fraction(1, 2)
+            mass[ID3] = Fraction(1, 2)
             total = sum(mass)
             y = CipherDist(S3, tuple(m / total for m in mass))
         assert convolve(x, y).support_size() >= x.support_size()
@@ -177,28 +186,33 @@ def test_support_nondecreasing_with_identity_in_factor():
 
 def test_translate_examples():
     x = random_dist(random.Random(3), S3)
-    assert translate(identity(3), x) == x
+    assert translate(ID3, x) == x
     g = cycle(3, (0, 1, 2))
-    assert translate(g, deterministic(S3, PI)) == deterministic(S3, g * PI)
+    gi = S3.index(g)
+    assert translate(gi, deterministic(S3, P)) == deterministic(S3, S3.index(g * PI))
     # uniform on a coset kH moves to the coset (g k)H
     u = uniform_on(S3, H01)
-    shifted = translate(g, u)
+    shifted = translate(gi, u)
     expected = {S3.index(g * h) for h in map(S3.element, H01)}
     assert set(shifted.support()) == expected
-    assert sorted(translate(g, x).mass) == sorted(x.mass)
+    assert sorted(translate(gi, x).mass) == sorted(x.mass)
     # the definition, on S4: translate(g, x) puts the mass of f at g * f
     rng = random.Random(8)
     for _ in range(5):
-        g = rng.choice(S4.elements)
+        gi = rng.randrange(S4.order)
+        g = S4.element(gi)
         x = random_dist_on(rng, S4, random_subgroup(rng, S4))
-        moved = translate(g, x)
-        assert all(moved.mass_of(g * f) == x.mass_of(f) for f in S4)
+        moved = translate(gi, x)
+        assert all(moved.mass[S4.index(g * f)] == x.mass[S4.index(f)] for f in S4)
 
 
 def test_translate_requires_membership():
+    # an element is an index of the group; G.index is what refuses a
+    # permutation outside it
     x = random_dist(random.Random(3), S3)
-    with pytest.raises(ValueError):
-        translate(identity(4), x)
+    for outside in (-1, S3.order):
+        with pytest.raises(ValueError, match="out of range"):
+            translate(outside, x)
 
 
 def test_convolve_requires_same_group():
@@ -211,10 +225,8 @@ def test_convolve_requires_same_group():
 def test_convolve_all_rightmost_first():
     g = transposition(3, 0, 1)
     h = PI
-    prod = convolve_all(
-        [deterministic(S3, g), deterministic(S3, h), deterministic(S3, g)]
-    )
-    assert prod == deterministic(S3, g * h * g)
+    prod = convolve_all([deterministic(S3, S3.index(f)) for f in (g, h, g)])
+    assert prod == deterministic(S3, S3.index(g * h * g))
     with pytest.raises(ValueError):
         convolve_all([])
 
@@ -222,19 +234,19 @@ def test_convolve_all_rightmost_first():
 class TestTripleDecompose:
     def test_uniform_example_on_s3(self):
         x = uniform_on(S3, H01)
-        decomp = triple_decompose(x, PI, x, H01, H01)
+        decomp = triple_decompose(x, P, x, H01, H01)
         assert decomp.m == 2
-        assert decomp.weights == (Fraction(1, 2), Fraction(1, 2))
+        assert weights(decomp) == (Fraction(1, 2), Fraction(1, 2))
         mixture = decomp.mixture()
-        dc = double_coset(S3, H01, PI, H01)
-        assert mixture == uniform_on(S3, dc.elements)
-        assert mixture == convolve(x, convolve(deterministic(S3, PI), x))
+        assert decomp.blocks == double_coset(S3, H01, P, H01)
+        assert mixture == uniform_on(S3, union(decomp.blocks))
+        assert mixture == convolve(x, convolve(deterministic(S3, P), x))
 
     def test_identity_pi_collapses(self):
         rng = random.Random(13)
         x = random_dist_on(rng, S3, H01)
         z = random_dist_on(rng, S3, H01)
-        decomp = triple_decompose(x, identity(3), z, H01, H01)
+        decomp = triple_decompose(x, ID3, z, H01, H01)
         assert decomp.m == 1
         assert decomp.parts[0] == convolve(x, z)
         assert set(decomp.parts[0].support()) <= set(H01)
@@ -243,24 +255,23 @@ class TestTripleDecompose:
         rng = random.Random(17)
         h = stabilizer(S4, (3,))
         k = stabilizer(S4, (3,))
-        x = deterministic(S4, identity(4))
+        x = deterministic(S4, S4.index(identity(4)))
         z = random_dist_on(rng, S4, k)
-        pi = transposition(4, 2, 3)
+        pi = S4.index(transposition(4, 2, 3))
         decomp = triple_decompose(x, pi, z, h, k)
-        assert decomp.m == len(decomp.weights)
-        assert sorted(decomp.weights, reverse=True)[0] == 1
-        assert sum(1 for w in decomp.weights if w > 0) == 1
+        assert decomp.m == len(weights(decomp))
+        assert sorted(weights(decomp), reverse=True)[0] == 1
+        assert sum(1 for w in weights(decomp) if w > 0) == 1
         assert decomp.mixture() == translate(pi, z)
         # zero-weight blocks still emitted, with uniform parts
-        blocks = decomp.double_coset.left_blocks
-        for w, part, block in zip(decomp.weights, decomp.parts, blocks):
+        for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
             if w == 0:
                 assert part == uniform_on(S4, block)
 
     def test_support_violation_raises(self):
         x = uniform_on(S3, range(6))
         with pytest.raises(ValueError):
-            triple_decompose(x, PI, x, H01, H01)
+            triple_decompose(x, P, x, H01, H01)
 
     def test_randomized_reconstruction_and_majorization(self):
         rng = random.Random(23)
@@ -268,16 +279,14 @@ class TestTripleDecompose:
             for _ in range(12):
                 h = random_subgroup(rng, group)
                 k = random_subgroup(rng, group)
-                pi = rng.choice(group.elements)
+                pi = rng.randrange(group.order)
                 x = random_dist_on(rng, group, h)
                 z = random_dist_on(rng, group, k)
                 decomp = triple_decompose(x, pi, z, h, k)
                 direct = convolve(x, convolve(deterministic(group, pi), z))
                 assert decomp.mixture() == direct
-                assert sum(decomp.weights) == 1
-                for part, block in zip(
-                    decomp.parts, decomp.double_coset.left_blocks
-                ):
+                assert sum(weights(decomp)) == 1
+                for part, block in zip(decomp.parts, decomp.blocks):
                     assert set(part.support()) <= set(block)
                     assert compare(part.mass, z.mass).is_below
 
@@ -288,14 +297,14 @@ def test_uniform_product_on_double_coset():
         for _ in range(10):
             h = random_subgroup(rng, group)
             k = random_subgroup(rng, group)
-            pi = rng.choice(group.elements)
+            pi = rng.randrange(group.order)
             x = uniform_on(group, h)
             z = uniform_on(group, k)
             t = convolve(x, convolve(deterministic(group, pi), z))
-            dc = double_coset(group, h, pi, k)
-            assert t == uniform_on(group, dc.elements)
+            hpik = union(double_coset(group, h, pi, k))
+            assert t == uniform_on(group, hpik)
             verdict = compare(t.mass, z.mass)
-            if len(dc.elements) > len(k):
+            if len(hpik) > len(k):
                 assert verdict.is_strictly_below
             else:
                 assert verdict.is_equal
@@ -314,8 +323,8 @@ DIFFERENTIAL_GROUPS = {
 
 
 def point_mass(group, g):
-    """A point mass built through the public constructor."""
-    return CipherDist(group, tuple(Fraction(int(h == g)) for h in group))
+    """The point mass at index ``g``, built through the public constructor."""
+    return CipherDist(group, tuple(Fraction(int(i == g)) for i in range(group.order)))
 
 
 def assert_exact(result, expected):
@@ -343,19 +352,19 @@ def test_integer_kernels_equal_fraction_oracle(name):
             dense = dist_over(rng, group, left_total)
             for left, right in ((x, z), (z, x), (dense, z), (x, dense)):
                 assert_exact(convolve(left, right), convolve_oracle(left, right))
-            g = rng.choice(group.elements)
+            g = rng.randrange(group.order)
             assert_exact(translate(g, z), convolve_oracle(point_mass(group, g), z))
-            pi = rng.choice(group.elements)
+            pi = rng.randrange(group.order)
             expected = convolve_oracle(x, convolve_oracle(point_mass(group, pi), z))
             decomp = triple_decompose(x, pi, z, h, k)
             assert_exact(decomp.mixture(), expected)
-            assert sum(decomp.weights) == 1
+            assert sum(weights(decomp)) == 1
             for part in decomp.parts:
                 assert math.gcd(part.den, *part.nums) == 1
         # sparse factors with their own denominators, and point masses
         u = random_dist_on(rng, group, h)
         v = random_dist_on(rng, group, k)
-        g = rng.choice(group.elements)
+        g = rng.randrange(group.order)
         e = point_mass(group, g)
         for left, right in ((u, v), (e, v), (u, e)):
             assert_exact(convolve(left, right), convolve_oracle(left, right))

@@ -32,7 +32,9 @@ DATA = Path(__file__).resolve().parent / "data"
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 H01 = S3.indices_of(closure([transposition(3, 0, 1)]))
-PI = transposition(3, 1, 2)
+PI = S3.index(transposition(3, 1, 2))
+T01 = S3.index(transposition(3, 0, 1))
+T23 = S4.index(transposition(4, 2, 3))
 
 
 def row_map(result):
@@ -56,14 +58,14 @@ class TestExpand:
             assert rows[f"q{q}_direction_T_vs_D"].passed
 
     def test_degenerate_pi_inside_h(self):
-        result = run_expand(S3, H01, transposition(3, 0, 1))
+        result = run_expand(S3, H01, T01)
         assert result.degenerate
         assert result.passed
         assert row_map(result)["T_equals_D_distributionally"].actual == "True"
 
     def test_s4_stabilizer_case(self):
         h = stabilizer(S4, (3,))
-        result = run_expand(S4, h, transposition(4, 2, 3), q_max=2)
+        result = run_expand(S4, h, T23, q_max=2)
         assert result.passed
         rows = row_map(result)
         assert rows["support_T"].actual == "18"
@@ -77,7 +79,7 @@ class TestExpand:
         klein = S4.indices_of(
             closure([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
         )
-        result = run_expand(S4, klein, transposition(4, 0, 1), q_max=1)
+        result = run_expand(S4, klein, S4.index(transposition(4, 0, 1)), q_max=1)
         rows = row_map(result)
         assert rows["assumption_H_ne_piHpi^-1"].actual == "fails"
         assert not rows["support_expansion"].passed
@@ -102,12 +104,12 @@ class TestCollapse:
         result = run_collapse(S3, H01, PI)
         assert result.passed
         x = uniform_on(S3, H01)
-        y = deterministic(S3, PI.inverse())
+        y = deterministic(S3, S3.inverse(PI))
         xc = translate(PI, x)
         assert convolve(xc, convolve(y, xc)) == collapse_t
 
     def test_degenerate(self):
-        result = run_collapse(S3, H01, transposition(3, 0, 1))
+        result = run_collapse(S3, H01, T01)
         assert result.degenerate
 
 
@@ -135,7 +137,7 @@ class TestGeneralCollapse:
 
     def test_s4_three_rounds(self):
         h = stabilizer(S4, (3,))
-        result = run_general_collapse(S4, h, transposition(4, 2, 3), 3)
+        result = run_general_collapse(S4, h, T23, 3)
         assert result.passed
         rows = row_map(result)
         supports = [
@@ -161,10 +163,10 @@ def test_reports_invariant_under_relabelling():
         )
         for _ in range(20):
             h = random_subgroup(rng, group)
-            pi = rng.choice(group.elements)
-            sigma = rng.choice(group.elements)
+            pi = rng.randrange(group.order)
+            sigma = rng.randrange(group.order)
             h_sigma = conjugate_subgroup(group, sigma, h)
-            pi_sigma = sigma * pi * sigma.inverse()
+            pi_sigma = group.mul(group.mul(sigma, pi), group.inverse(sigma))
             for run in runs:
                 report = emit_report([run(h, pi)], "csv")
                 assert emit_report([run(h_sigma, pi_sigma)], "csv") == report

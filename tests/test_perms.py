@@ -6,7 +6,6 @@ from cipherorder.perms import (
     Permutation,
     compose,
     cycle,
-    from_cycles,
     identity,
     transposition,
 )
@@ -71,12 +70,6 @@ def test_apply_out_of_range():
         identity(3).apply(3)
     with pytest.raises(ValueError):
         identity(3).apply((0, 5))
-
-
-def test_from_cycles_rightmost_first():
-    assert from_cycles(3, [(0, 1), (1, 2)]) == compose(
-        transposition(3, 0, 1), transposition(3, 1, 2)
-    )
 
 
 @given(perms4, perms4, perms4)

@@ -41,7 +41,7 @@ S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 S5 = symmetric_group(5)
 H01 = S3.indices_of(closure([transposition(3, 0, 1)]))
-PI = transposition(3, 1, 2)
+PI = S3.index(transposition(3, 1, 2))
 
 
 def test_distinct_tuples():
@@ -322,7 +322,7 @@ def test_metric_directions_follow_majorization_verdicts():
                 random_dist_on(rng, group, random_subgroup(rng, group))
                 for _ in range(2)
             )
-            g, h = (deterministic(group, rng.choice(group.elements)) for _ in range(2))
+            g, h = (deterministic(group, rng.randrange(group.order)) for _ in range(2))
             for left, right in ((x, y), (xs, ys), (convolve(x, y), y), (g, h)):
                 report = compare_q(left, right, group.degree)
                 for level in report.levels:
@@ -350,7 +350,7 @@ def relabel(x: CipherDist, sigma: Permutation) -> CipherDist:
 def test_compare_q_invariant_under_relabelling():
     rng = random.Random(23)
     x = uniform_on(S4, stabilizer(S4, (3,)))
-    y = deterministic(S4, transposition(4, 2, 3))
+    y = deterministic(S4, S4.index(transposition(4, 2, 3)))
     pairs = [(convolve(x, convolve(y, x)), convolve(x, x))]
     for group in (S3, S4):
         for _ in range(4):
@@ -384,11 +384,11 @@ def _oracle_case(rng: random.Random, group, kind: str) -> CipherDist:
     if kind == "subgroup":
         return random_dist_on(rng, group, random_subgroup(rng, group))
     if kind == "point":
-        return deterministic(group, rng.choice(group.elements))
+        return deterministic(group, rng.randrange(group.order))
     # a product: subgroup-supported factors around a point mass
     a = random_dist_on(rng, group, random_subgroup(rng, group))
     b = random_dist_on(rng, group, random_subgroup(rng, group))
-    return convolve(a, convolve(deterministic(group, rng.choice(group.elements)), b))
+    return convolve(a, convolve(deterministic(group, rng.randrange(group.order)), b))
 
 
 KINDS = ("full", "subgroup", "point", "product")

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,8 +69,9 @@ def test_full_scenario_resolves_distributions():
     h = group.indices_of(closure([transposition(3, 0, 1)]))
     assert parse_subgroup("gen([[1,0,2]])", group, where="t") == h
     assert scenario.ciphers["X"] == uniform_on(group, h)
-    assert scenario.ciphers["Y"] == deterministic(group, transposition(3, 1, 2))
-    assert scenario.ciphers["W"] == translate(transposition(3, 1, 2), uniform_on(group, h))
+    pi = group.index(transposition(3, 1, 2))
+    assert scenario.ciphers["Y"] == deterministic(group, pi)
+    assert scenario.ciphers["W"] == translate(pi, uniform_on(group, h))
     t = scenario.distribution("T")
     assert t.support_size() == 4
     assert scenario.distribution("D").support_size() == 2
@@ -172,16 +174,21 @@ def test_json_booleans_are_not_ints(path, value, field):
 
 
 def test_deterministic_outside_group_rejected():
-    bad = {
-        "message_count": 3,
-        "group": "cyclic(3)",
-        "ciphers": {"Y": {"deterministic": [1, 0, 2]}},
+    # group.index is the one membership check of an element; the error names
+    # the field that holds it
+    ciphers = {
+        "Y.deterministic": {"deterministic": [1, 0, 2]},
+        "W.coset.rep": {"coset": {"rep": [1, 0, 2], "subgroup": "cyclic(3)"}},
     }
-    with pytest.raises(ScenarioError, match="not in the group"):
-        parse_scenario(json.dumps(bad))
+    for field, spec in ciphers.items():
+        name = field.partition(".")[0]
+        bad = {"message_count": 3, "group": "cyclic(3)", "ciphers": {name: spec}}
+        message = rf"^ciphers\.{re.escape(field)}: \[1,0,2\] is not in the group$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(json.dumps(bad))
 
 
 def test_scenario_permutations_round_trip():
     scenario = parse_scenario(EXPANSION)
     y = scenario.ciphers["Y"]
-    assert y.mass_of(Permutation((0, 2, 1))) == 1
+    assert y.mass[scenario.group.index(Permutation((0, 2, 1)))] == 1
