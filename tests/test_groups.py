@@ -218,6 +218,15 @@ def test_double_coset_complement_of_stabilizer():
     assert set(hpih) == set(range(6)) - set(stab2)
 
 
+def test_double_coset_rejects_pi_outside_the_parent():
+    # pi reaches double_coset as a parent index; the conversion refuses it
+    with pytest.raises(ValueError, match="is not an element of this group"):
+        double_coset(S3, H01, S3.index(identity(4)), H01)
+    c3 = closure([cycle(3, (0, 1, 2))])
+    trivial = c3.indices_of(closure([identity(3)]))
+    with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):
+        double_coset(c3, trivial, c3.index(transposition(3, 0, 1)), trivial)
+
 def test_randomized_lagrange_and_orbit_stabilizer():
     rng = random.Random(7)
     for group in (S3, S4):
