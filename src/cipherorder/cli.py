@@ -159,12 +159,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_convolve(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    factors = []
-    for name in args.names:
-        if name not in scenario.ciphers:
-            raise ScenarioError(f"unknown cipher {name!r}")
-        factors.append(scenario.ciphers[name])
-    product = convolve_all(factors)
+    product = convolve_all([scenario.distribution(n) for n in args.names])
     for i, mass in enumerate(product.mass):
         if mass > 0:
             print(f"{scenario.group.element(i)}\t{mass}")
@@ -285,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write comparison rows as CSV")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("convolve", help="convolve named ciphers from a scenario")
+    p = sub.add_parser("convolve", help="convolve ciphers or products of a scenario")
     p.add_argument("scenario")
-    p.add_argument("names", nargs="+", help="factors, rightmost applied first")
+    p.add_argument(
+        "names", nargs="+", help="ciphers or products, rightmost applied first"
+    )
     p.set_defaults(func=_cmd_convolve)
 
     p = sub.add_parser("majorize", help="majorization verdict for two vectors")

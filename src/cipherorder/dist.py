@@ -215,12 +215,13 @@ def triple_decompose(
     shift_support = z_shift.support()
     shift = [z_shift.nums[f] for f in shift_support]
     row = group.right_products(shift_support)
+    times_pi = group.right_products((pi,))
 
     weights = [0] * len(blocks)
     part_nums = [[0] * group.order for _ in blocks]
     for a in x.support():
         w = x.nums[a]
-        b = block_of[group.mul(a, pi)]
+        b = block_of[times_pi(a)[0]]
         weights[b] += w
         part = part_nums[b]
         for g, mass in zip(row(a), shift):

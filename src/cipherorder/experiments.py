@@ -86,10 +86,9 @@ class _Rows:
 
 def format_value(value) -> str:
     """A report or metric value as printed: floats to 12 significant
-    digits, negative zero as 0, everything else through ``str``."""
+    digits, everything else through ``str``."""
     if isinstance(value, float):
-        # -0.0 + 0.0 is +0.0: an entropy of 0 bits must not print as -0
-        return f"{value + 0.0:.12g}"
+        return f"{value:.12g}"
     return str(value)
 
 

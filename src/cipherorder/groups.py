@@ -2,11 +2,12 @@
 
 Groups here are always fully enumerated and stored in canonical order
 (lexicographic on image tuples), so two enumerations of the same group are
-element-for-element identical.  Groups are built, compared and closed as
-sorted image tuples ("words"); ``Permutation`` objects appear only at the
-API.  Inside a parent table G, an element is an index of G, and subgroups,
-cosets and double cosets are sorted tuples of G's element indices.  A
-``Permutation`` becomes an element of G only through ``G.index``, and a
+element-for-element identical.  A ``GroupTable`` is its sorted image
+tuples ("words") and their index: groups are built, compared, closed and
+multiplied as words, and a ``Permutation`` is built only when the API asks
+for one (``element``, iteration).  Inside a parent table G, an element is an
+index of G, and subgroups, cosets and double cosets are sorted tuples of G's
+element indices.  A ``Permutation`` becomes an element of G only through ``G.index``, and a
 table built on its own becomes a subgroup of G only through
 ``G.indices_of(table)``: each is the one conversion and the one membership
 check.  Everything is desk scale by design: this module alone decides the
@@ -46,76 +47,35 @@ def _right_factor(w: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, 
 class GroupTable:
     """A finite permutation group with canonically ordered, indexed elements.
 
-    ``words`` holds the elements' image tuples, sorted lexicographically,
-    and ``elements`` the same elements as ``Permutation``s, built on first
-    read.  ``index`` maps a permutation back to its position, ``mul``
-    multiplies two positions and ``inverse`` inverts one; every index a
-    table takes or returns refers to this table's ordering, never to a
-    subgroup's or a supergroup's.  Instances are immutable and safe to
-    share across threads.
+    ``words`` holds the elements' image tuples, sorted lexicographically.
+    ``index`` maps a permutation to its position, ``element`` builds the
+    permutation at a position, ``right_products`` multiplies positions and
+    ``inverse`` inverts one; every index a table takes or returns refers to
+    this table's ordering, never to a subgroup's or a supergroup's.  Tables
+    come from ``closure`` (the table of an explicit element set is
+    ``closure(elements)``), ``symmetric_group``, ``cyclic_group`` and the
+    scenario specs.  Instances are immutable and safe to share across
+    threads.
     """
 
-    __slots__ = ("degree", "words", "_index", "_elements")
-
-    def __init__(self, elements: Iterable[Permutation]):
-        words = sorted({e.images for e in elements})
-        if not words:
-            raise ValueError("a group needs at least the identity element")
-        degree = len(words[0])
-        if any(len(w) != degree for w in words):
-            raise ValueError("all elements must share one degree")
-        self._set(words)
-        self._check_group()
+    __slots__ = ("degree", "words", "_index")
 
     @classmethod
     def _from_words(cls, words: Sequence[tuple[int, ...]]) -> GroupTable:
         """The table of a group given as its sorted, distinct words; the
         caller guarantees that they form a group."""
         table = object.__new__(cls)
-        table._set(words)
+        table.words = tuple(words)
+        table.degree = len(table.words[0])
+        table._index = {w: i for i, w in enumerate(table.words)}
         return table
-
-    def _set(self, words: Sequence[tuple[int, ...]]) -> None:
-        self.words: tuple[tuple[int, ...], ...] = tuple(words)
-        self.degree = len(self.words[0])
-        self._index: dict[tuple[int, ...], int] = {w: i for i, w in enumerate(self.words)}
-        self._elements: tuple[Permutation, ...] | None = None
-
-    def _check_group(self) -> None:
-        """Identity and closure, scanning pairs (a, b) in canonical order so
-        that the message names the first product outside the set."""
-        if tuple(range(self.degree)) not in self._index:
-            raise ValueError("element set does not contain the identity")
-        words = self.words
-        row = self.right_products(range(len(words)))
-        for i, a in enumerate(words):
-            try:
-                row(i)
-            except KeyError:
-                b = next(w for w in words if _right_factor(w)(a) not in self._index)
-                raise ValueError(
-                    "element set not closed under composition: "
-                    f"{Permutation(a)} * {Permutation(b)}"
-                ) from None
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(map(Permutation, self.words))
-        return self._elements
 
     @property
     def order(self) -> int:
         return len(self.words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._index
+        return map(Permutation, self.words)
 
     def index(self, p: Permutation) -> int:
         try:
@@ -124,12 +84,7 @@ class GroupTable:
             raise ValueError(f"{p} is not an element of this group") from None
 
     def element(self, i: int) -> Permutation:
-        return self.elements[i]
-
-    def mul(self, i: int, j: int) -> int:
-        """Index of ``element(i) * element(j)``; ``element(j)`` acts first."""
-        a = self.words[i]
-        return self._index[tuple([a[k] for k in self.words[j]])]
+        return Permutation(self.words[i])
 
     def inverse(self, i: int) -> int:
         """Index of the inverse of ``element(i)``: the points ordered by their
@@ -138,11 +93,11 @@ class GroupTable:
         return self._index[tuple(sorted(range(self.degree), key=w.__getitem__))]
 
     def right_products(self, js: Iterable[int]) -> Callable[[int], list[int]]:
-        """The map i -> ``[mul(i, j) for j in js]``.
+        """The map i -> the indices of ``element(i) * element(j)`` for j in
+        ``js`` (``element(j)`` acts first), in the order of ``js``.
 
         Each ``words[j]`` becomes an ``operator.itemgetter`` once, so every
-        product is one C-level composition and one dict lookup; the hot
-        loops of ``dist`` call this instead of ``mul``.
+        product is one C-level composition and one dict lookup.
         """
         index, words = self._index, self.words
         getters = [_right_factor(words[j]) for j in js]
@@ -250,8 +205,8 @@ def stabilizer(group: GroupTable, points: tuple[int, ...]) -> tuple[int, ...]:
 def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[int, ...]:
     """The conjugate pi * H * pi^-1 of the subgroup ``h`` of ``group``, as
     sorted indices."""
-    pi_inv = group.inverse(pi)
-    return tuple(sorted(group.mul(group.mul(pi, k), pi_inv) for k in h))
+    times_pi_inv = group.right_products((group.inverse(pi),))
+    return tuple(sorted(times_pi_inv(j)[0] for j in group.right_products(h)(pi)))
 
 
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -274,5 +229,6 @@ def double_coset(
     """H*pi*K as its left cosets of K: the blocks of ``left_cosets(parent, k)``
     that meet H*pi, ordered by their minimal member.  Their count is
     [H : H n pi*K*pi^-1] by orbit-stabilizer."""
-    h_pi = {parent.mul(a, pi) for a in h}
+    times_pi = parent.right_products((pi,))
+    h_pi = {times_pi(a)[0] for a in h}
     return tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))

@@ -62,8 +62,8 @@ def _plog2p(n: int, den: int) -> float:
 
 def _shannon(nums: Sequence[int], den: int) -> float:
     """Shannon entropy in bits of integer numerators over ``den``, with
-    0*log(0) = 0, summed in index order."""
-    return -sum(_plog2p(n, den) for n in nums if n)
+    0*log(0) = 0, summed in index order; a point mass gives +0.0."""
+    return 0.0 - sum(_plog2p(n, den) for n in nums if n)
 
 
 def shannon_entropy(x: Sequence) -> float:
@@ -89,7 +89,8 @@ def renyi_entropy(x: Sequence, order) -> float:
         and Fraction(order).denominator == 1
     ):
         power = renyi_power_sum(xs, int(order))
-        return _log2_fraction(power) / (1 - int(order))
+        # 0.0 - s is -s for every s but 0.0, where it stays +0.0
+        return 0.0 - _log2_fraction(power) / (int(order) - 1)
     try:
         a = float(order)
     except OverflowError:
@@ -106,8 +107,8 @@ def _renyi_factored(xs: list[Fraction], a: float) -> float:
     log_top = _log2_fraction(top)
     ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)
     # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
-    # gives the min-entropy -log_top
-    return -log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
+    # gives the min-entropy -log_top; 0.0 - log_top keeps a point mass +0.0
+    return 0.0 - log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
 
 
 def renyi_power_sum(x: Sequence, order: int) -> Fraction:

@@ -37,8 +37,8 @@ _ZERO = Fraction(0)
 
 def distinct_tuples(m: int, q: int) -> list[tuple[int, ...]]:
     """All ordered q-tuples of distinct points of {0..m-1}, lexicographic."""
-    if not 1 <= q <= m:
-        raise ValueError(f"q must satisfy 1 <= q <= {m}, got {q}")
+    if not 0 <= q <= m:
+        raise ValueError(f"q must satisfy 0 <= q <= {m}, got {q}")
     return list(itertools.permutations(range(m), q))
 
 
@@ -83,7 +83,7 @@ def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
     check_points(p, group.degree)
     pt = tuple(p)
     by_image: dict[tuple[int, ...], list[Fraction]] = {}
-    for i, g in enumerate(group.elements):
+    for i, g in enumerate(group):
         by_image.setdefault(g.apply(pt), []).append(x.mass[i])
     total = _ZERO
     for masses in by_image.values():
@@ -248,12 +248,11 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     columns = _image_columns(left.group)
     levels = []
     for q in range(q_max + 1):
-        tuples = [()] if q == 0 else distinct_tuples(m, q)
         rows = tuple(
             _compare_at_tuple(
                 _image_blocks(columns, order, p), left_nums, right_nums, den, p
             )
-            for p in tuples
+            for p in distinct_tuples(m, q)
         )
         max_adv_l = max(rows, key=lambda r: r.advantage_left)
         max_adv_r = max(rows, key=lambda r: r.advantage_right)

@@ -80,9 +80,9 @@ def random_subgroup(rng: random.Random, group: GroupTable) -> tuple[int, ...]:
     if kind == "trivial":
         gens = [identity(group.degree)]
     elif kind == "cyclic":
-        gens = [rng.choice(group.elements)]
+        gens = [group.element(rng.randrange(group.order))]
     else:
-        gens = [rng.choice(group.elements), rng.choice(group.elements)]
+        gens = [group.element(rng.randrange(group.order)) for _ in range(2)]
     return group.indices_of(closure(gens))
 
 
@@ -106,11 +106,12 @@ def convolve_oracle(x: CipherDist, y: CipherDist) -> CipherDist:
     """Brute-force product distribution: sum over all factor pairs (a, b)
     of x(a) y(b) at a*b (b applied first)."""
     group = x.group
+    elements = list(group)
     out = [Fraction(0)] * group.order
-    for i, a in enumerate(group.elements):
+    for i, a in enumerate(elements):
         if x.mass[i] == 0:
             continue
-        for j, b in enumerate(group.elements):
+        for j, b in enumerate(elements):
             if y.mass[j] == 0:
                 continue
             out[group.index(compose(a, b))] += x.mass[i] * y.mass[j]
@@ -234,7 +235,7 @@ def compare_q_oracle(left: CipherDist, right: CipherDist, q_max: int) -> Compari
     levels = []
     for q in range(q_max + 1):
         rows = []
-        for p in [()] if q == 0 else distinct_tuples(left.group.degree, q):
+        for p in distinct_tuples(left.group.degree, q):
             masses_l, sum_l = project_oracle(left, p)
             masses_r, sum_r = project_oracle(right, p)
             rows.append(

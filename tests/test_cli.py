@@ -252,13 +252,18 @@ def test_metrics_rejects_unnormalized(tmp_path):
 
 def test_convolve_lists_product_support(scenario_file, capsys):
     assert main(["convolve", scenario_file, "X", "Y", "X"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(line.endswith("\t1/4") for line in lines)
+    # a product name resolves as compare resolves it
+    assert main(["convolve", scenario_file, "T"]) == 0
+    assert capsys.readouterr().out == out
 
 
-def test_convolve_unknown_name(scenario_file):
+def test_convolve_unknown_name(scenario_file, capsys):
     assert main(["convolve", scenario_file, "X", "Q"]) == 2
+    assert "error: unknown cipher or product 'Q'" in capsys.readouterr().err
 
 
 def test_run_scenario(scenario_file, tmp_path, capsys):

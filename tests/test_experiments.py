@@ -166,7 +166,7 @@ def test_reports_invariant_under_relabelling():
             pi = rng.randrange(group.order)
             sigma = rng.randrange(group.order)
             h_sigma = conjugate_subgroup(group, sigma, h)
-            pi_sigma = group.mul(group.mul(sigma, pi), group.inverse(sigma))
+            pi_sigma = conjugate_subgroup(group, sigma, (pi,))[0]
             for run in runs:
                 report = emit_report([run(h, pi)], "csv")
                 assert emit_report([run(h_sigma, pi_sigma)], "csv") == report

@@ -49,6 +49,9 @@ def test_shannon_entropy_examples():
     assert shannon_entropy([F(1, 4)] * 4) == pytest.approx(2.0, abs=TOL)
     assert shannon_entropy([F(1), F(0), F(0)]) == pytest.approx(0.0, abs=TOL)
     assert shannon_entropy([F(1, 2), F(1, 4), F(1, 4)]) == pytest.approx(1.5, abs=TOL)
+    # a point mass has +0.0 bits, never -0.0
+    for point_mass in ([F(1)], [F(1), F(0), F(0)]):
+        assert math.copysign(1.0, shannon_entropy(point_mass)) == 1.0
 
 
 def shannon_reference(masses):
@@ -107,6 +110,10 @@ def test_renyi_entropy_examples():
         math.log2(8 / 5), abs=TOL
     )
     assert renyi_power_sum([F(3, 4), F(1, 4)], 2) == F(5, 8)
+    # a point mass has +0.0 bits on the exact and on the factored path
+    for point_mass in ([F(1)], [F(0), F(1), F(0)]):
+        for order in (F(1, 2), 2, 3, 100000):
+            assert math.copysign(1.0, renyi_entropy(point_mass, order)) == 1.0
 
 
 def test_renyi_entropy_above_exact_bound_matches_power_sum():

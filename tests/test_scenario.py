@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cipherorder.dist import deterministic, translate, uniform_on
-from cipherorder.groups import GroupTable, closure, stabilizer, symmetric_group
+from cipherorder.groups import closure, stabilizer, symmetric_group
 from cipherorder.perms import Permutation, transposition
 from cipherorder.scenario import (
     ScenarioError,
@@ -53,7 +53,7 @@ def test_group_spec_constructors():
     assert parse_group_spec("cyclic(4)", where="t").order == 4
     s4 = symmetric_group(4)
     stab = parse_group_spec("stab(4, 3)", where="t")
-    assert stab == GroupTable(map(s4.element, stabilizer(s4, (3,))))
+    assert stab == closure(map(s4.element, stabilizer(s4, (3,))))
     assert parse_subgroup("stab(4, 3)", s4, where="t") == stabilizer(s4, (3,))
     gen = parse_group_spec("gen([[1,0,2]])", where="t")
     assert gen == closure([transposition(3, 0, 1)])
