@@ -13,19 +13,17 @@ of the group and a subgroup a sorted tuple of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import GroupTable, double_coset
 from .majorize import _exact_rational, _numerators
+from .perms import _Frozen
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, init=False)
-class CipherDist:
+class CipherDist(_Frozen):
     """A cipher as an exact distribution over a group's canonical index.
 
     Element i has mass ``nums[i] / den``, and ``gcd(den, *nums) == 1``, so
@@ -36,6 +34,7 @@ class CipherDist:
     the length, the signs and the total.
     """
 
+    __slots__ = ("group", "nums", "den", "_mass")
     group: GroupTable
     nums: tuple[int, ...]
     den: int
@@ -68,12 +67,34 @@ class CipherDist:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_mass", None)
 
-    @cached_property
+    def _fields(self) -> tuple[GroupTable, tuple[int, ...], int]:
+        return self.group, self.nums, self.den
+
+    def __reduce__(self):
+        return CipherDist.from_numerators, self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CipherDist(group={!r}, nums={!r}, den={!r})".format(*self._fields())
+
+    @property
     def mass(self) -> tuple[Fraction, ...]:
-        """The masses as ``Fraction``s, in the group's canonical order."""
-        den = self.den
-        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
+        """The masses as ``Fraction``s, in the group's canonical order,
+        built on first read."""
+        if self._mass is None:
+            den = self.den
+            mass = tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
+            object.__setattr__(self, "_mass", mass)
+        return self._mass
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, n in enumerate(self.nums) if n)
@@ -149,8 +170,7 @@ def translate(g: int, x: CipherDist) -> CipherDist:
     return convolve(deterministic(x.group, g), x)
 
 
-@dataclass(frozen=True)
-class TripleDecomposition:
+class TripleDecomposition(NamedTuple):
     """Convex direct-sum decomposition of x * delta_pi * z along left cosets.
 
     ``weight_nums[i] / weight_den`` is the mass x places on the elements a

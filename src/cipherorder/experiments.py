@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .dist import (
     CipherDist,
@@ -42,16 +42,14 @@ from .perms import Permutation
 from .qsecurity import Direction, compare_q
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     quantity: str
     expected: str
     actual: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     experiment: str
     rows: tuple[CheckRow, ...]
     degenerate: bool = False

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perms import Permutation
 
@@ -38,8 +37,7 @@ class Relation(enum.Enum):
     NORM_MISMATCH = "norm-mismatch"
 
 
-@dataclass(frozen=True)
-class MajorizationVerdict:
+class MajorizationVerdict(NamedTuple):
     """Outcome of comparing two vectors under majorization.
 
     ``witness_prefix`` is set only for INCOMPARABLE: the 1-indexed prefix
@@ -137,8 +135,7 @@ def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
     return _verdict(sorted(nums[:n], reverse=True), sorted(nums[n:], reverse=True))
 
 
-@dataclass(frozen=True)
-class DoublyStochasticWitness:
+class DoublyStochasticWitness(NamedTuple):
     """An explicit doubly-stochastic matrix carrying y to x, with its
     convex decomposition into permutations."""
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dist import CipherDist, _common_numerators
 from .groups import GroupTable, check_points
@@ -123,8 +122,7 @@ class Direction(str, enum.Enum):
         return cls.LEFT if safer_left else cls.RIGHT
 
 
-@dataclass(frozen=True)
-class TupleComparison:
+class TupleComparison(NamedTuple):
     """Both ciphers' q-query metrics for one plaintext tuple."""
 
     points: tuple[int, ...]
@@ -150,8 +148,7 @@ class TupleComparison:
         )
 
 
-@dataclass(frozen=True)
-class LevelComparison:
+class LevelComparison(NamedTuple):
     """All tuple comparisons at one data complexity q, with aggregates."""
 
     q: int
@@ -167,8 +164,7 @@ class LevelComparison:
     verdict: Direction
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-q metric values and ordering verdicts for a pair of ciphers:
     a ``Direction`` per level and one combined over all levels."""
 

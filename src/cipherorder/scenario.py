@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .dist import (
     CipherDist,
@@ -180,8 +179,7 @@ def _element(value: Any, group: GroupTable, *, where: str) -> int:
         raise ScenarioError(f"{where}: {p} is not in the group") from None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed and fully resolved scenario."""
 
     message_count: int

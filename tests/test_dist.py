@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -79,6 +81,24 @@ def test_from_numerators_reduces_and_checks():
         CipherDist.from_numerators(S3, [2, -1, 0, 0, 0, 0], 1)
     with pytest.raises(ValueError, match="sum to 1"):
         CipherDist.from_numerators(S3, [1, 1, 0, 0, 0, 0], 1)
+
+
+def test_cipher_dist_value_semantics():
+    x = CipherDist(S3, (Fraction(1, 2), 0, 0, 0, 0, Fraction(1, 2)))
+    for field in ("group", "nums", "den", "mass"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+    with pytest.raises(AttributeError):
+        del x.nums
+    # equal values from separately built groups and constructors
+    same = CipherDist.from_numerators(symmetric_group(3), [2, 0, 0, 0, 0, 2], 4)
+    assert same is not x and same.group is not x.group
+    assert same == x and hash(same) == hash(x)
+    assert x != deterministic(S3, 0) and x != (x.group, x.nums, x.den)
+    assert repr(x) == f"CipherDist(group={S3!r}, nums=(1, 0, 0, 0, 0, 1), den=2)"
+    assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    # the Fraction view is built once, on first read
+    assert x.mass is x.mass
 
 
 def test_cipher_dist_validation():

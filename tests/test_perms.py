@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cipherorder.groups import symmetric_group
 from cipherorder.perms import (
     Permutation,
     compose,
@@ -93,3 +97,34 @@ def test_apply_respects_composition(a, b):
 def test_distinct_points_stay_distinct(g):
     image = g.apply((0, 1, 2, 3))
     assert len(set(image)) == 4
+
+
+def test_images_from_a_list_are_stored_as_a_tuple():
+    listed, tupled = Permutation([1, 0, 2]), Permutation((1, 0, 2))
+    assert listed.images == (1, 0, 2)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    s3 = symmetric_group(3)
+    assert s3.index(listed) == s3.index(tupled)
+
+
+def test_value_semantics():
+    g = Permutation((2, 0, 1))
+    with pytest.raises(AttributeError):
+        g.images = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        del g.images
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    same = compose(cycle(3, (0, 2, 1)), identity(3))
+    assert same is not g and same == g and hash(same) == hash(g)
+    assert g != (2, 0, 1)
+    assert repr(g) == "Permutation(images=(2, 0, 1))"
+    assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+
+
+@given(st.lists(perms4, min_size=2, max_size=8))
+def test_ordering_follows_image_tuple_order(perms):
+    assert [p.images for p in sorted(perms)] == sorted(p.images for p in perms)
+    a, b = perms[:2]
+    x, y = a.images, b.images
+    assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
