@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .groups import GroupTable, double_coset
-from .majorize import _exact_rational, _numerators
+from .majorize import _numerators
 from .perms import _Frozen
 
 _ZERO = Fraction(0)
@@ -40,8 +40,8 @@ class CipherDist(_Frozen):
     den: int
 
     def __init__(self, group: GroupTable, mass: Sequence) -> None:
-        fracs = [_exact_rational(m) for m in mass]
-        self._set(group, *_numerators(fracs))
+        (nums,), den = _numerators(mass)
+        self._set(group, nums, den)
 
     @classmethod
     def from_numerators(
@@ -229,28 +229,18 @@ def triple_decompose(
     blocks = double_coset(group, h, pi, k)
     block_of = {i: b for b, block in enumerate(blocks) for i in block}
 
-    # part b is sum_a x(a) delta_a * z_shift over the a in supp(x) with
-    # a*pi in block b, divided by the block's weight
-    z_shift = translate(pi, z)
-    shift_support = z_shift.support()
-    shift = [z_shift.nums[f] for f in shift_support]
-    row = group.right_products(shift_support)
+    # part b is x restricted to the a with a*pi in block b, renormalized,
+    # times z translated by pi
     times_pi = group.right_products((pi,))
-
-    weights = [0] * len(blocks)
-    part_nums = [[0] * group.order for _ in blocks]
+    x_parts = [[0] * group.order for _ in blocks]
     for a in x.support():
-        w = x.nums[a]
-        b = block_of[times_pi(a)[0]]
-        weights[b] += w
-        part = part_nums[b]
-        for g, mass in zip(row(a), shift):
-            part[g] += w * mass
-
+        x_parts[block_of[times_pi(a)[0]]][a] = x.nums[a]
+    weights = tuple(map(sum, x_parts))
+    z_shift = translate(pi, z)
     parts = tuple(
-        CipherDist.from_numerators(group, nums, w * z_shift.den)
+        convolve(CipherDist.from_numerators(group, nums, w), z_shift)
         if w
         else uniform_on(group, block)
-        for w, nums, block in zip(weights, part_nums, blocks)
+        for w, nums, block in zip(weights, x_parts, blocks)
     )
-    return TripleDecomposition(tuple(weights), x.den, parts, blocks)
+    return TripleDecomposition(weights, x.den, parts, blocks)

@@ -1,11 +1,11 @@
 """The majorization preorder on nonnegative rational vectors, with witnesses.
 
-``compare`` decides x <= y (majorization) exactly via prefix sums of the
-decreasing rearrangements, taken on integer numerators over the lcm of all
-entry denominators; ``Fraction``s appear only at the API.  ``hlp_witness``
-makes the Hardy-Littlewood-Polya direction constructive: an explicit
-doubly-stochastic matrix D with D y = x, built from at most n-1
-T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
+``compare`` and ``hlp_witness`` convert their input once (``_numerators``)
+to integer numerators over the lcm of all entry denominators and run on
+those.  ``compare`` decides x <= y (majorization) exactly via prefix sums of
+the decreasing rearrangements.  ``hlp_witness`` makes the
+Hardy-Littlewood-Polya direction constructive: an explicit doubly-stochastic
+matrix D with D y = x, built from at most n-1 T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
 a convex sum of permutation matrices by greedy bottleneck extraction; every
 step lowers the dimension of the smallest face of the Birkhoff polytope
 holding the remainder, so there are at most (n-1)^2 + 1 terms
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from numbers import Rational
 from typing import NamedTuple, Sequence
 
@@ -76,30 +76,28 @@ def _exact_rational(v) -> Fraction:
     return Fraction(v)
 
 
-def nonnegative_rationals(xs: Sequence) -> list[Fraction]:
-    """The entries as ``Fraction``s: TypeError for a non-rational entry,
-    ValueError for a negative one."""
-    out = [_exact_rational(v) for v in xs]
-    for f in out:
-        if f < 0:
-            raise ValueError(f"vector entries must be nonnegative, got {f}")
-    return out
+def _numerators(*vectors: Sequence) -> tuple[list[list[int]], int]:
+    """The vectors' entries as integer numerators over the lcm of all their
+    denominators, each vector zero-padded to the longest length, and that
+    denominator: the one conversion of rational input.  TypeError for an
+    entry that is not an exact rational."""
+    fracs = [[_exact_rational(v) for v in vec] for vec in vectors]
+    den = math.lcm(*(f.denominator for vec in fracs for f in vec))
+    n = max(map(len, fracs))
+    return [
+        [f.numerator * (den // f.denominator) for f in vec] + [0] * (n - len(vec))
+        for vec in fracs
+    ], den
 
 
-def _padded(x: Sequence, y: Sequence) -> tuple[list[Fraction], list[Fraction]]:
-    """Both vectors as exact nonnegative entries, the shorter zero-padded."""
-    xs, ys = nonnegative_rationals(x), nonnegative_rationals(y)
-    n = max(len(xs), len(ys))
-    xs += [_ZERO] * (n - len(xs))
-    ys += [_ZERO] * (n - len(ys))
-    return xs, ys
-
-
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the values over their common denominator (the
-    lcm of every value's denominator), and that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _nonnegative_numerators(*vectors: Sequence) -> tuple[list[list[int]], int]:
+    """``_numerators`` of vectors that must be nonnegative: ValueError for a
+    negative entry."""
+    vecs, den = _numerators(*vectors)
+    for n in chain(*vecs):
+        if n < 0:
+            raise ValueError(f"vector entries must be nonnegative, got {Fraction(n, den)}")
+    return vecs, den
 
 
 def _verdict(xs: Sequence[int], ys: Sequence[int]) -> MajorizationVerdict:
@@ -129,10 +127,8 @@ def compare(x: Sequence, y: Sequence) -> MajorizationVerdict:
     are compared as integer numerators over the lcm of both vectors'
     denominators.
     """
-    xs, ys = _padded(x, y)
-    nums, _ = _numerators(xs + ys)
-    n = len(xs)
-    return _verdict(sorted(nums[:n], reverse=True), sorted(nums[n:], reverse=True))
+    (xs, ys), _ = _nonnegative_numerators(x, y)
+    return _verdict(sorted(xs, reverse=True), sorted(ys, reverse=True))
 
 
 class DoublyStochasticWitness(NamedTuple):
@@ -143,19 +139,14 @@ class DoublyStochasticWitness(NamedTuple):
     decomposition: tuple[tuple[Fraction, Permutation], ...]
 
 
-def _identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def _argsort_desc(v: Sequence[Fraction]) -> list[int]:
+def _argsort_desc(v: Sequence[int]) -> list[int]:
     # stable: ties keep original index order
     return sorted(range(len(v)), key=lambda i: (-v[i], i))
 
 
-def _ttransform_chain(
-    x: list[Fraction], y: list[Fraction]
-) -> list[tuple[int, int, Fraction]]:
-    """T-transforms (j, k, lambda) carrying sorted y onto sorted x.
+def _ttransform_chain(x: list[int], y: list[int]) -> list[tuple[int, int, Fraction]]:
+    """T-transforms (j, k, lambda) carrying sorted y onto sorted x, both
+    integer numerators over one denominator.
 
     Each step replaces (y_j, y_k) by (lam*y_j + (1-lam)*y_k, ...), i.e.
     moves delta = (1-lam)(y_j - y_k) of mass from position j to position k.
@@ -172,8 +163,8 @@ def _ttransform_chain(
         j = max(range(len(y)), key=lambda i: (gaps[i], -i))
         k = next(i for i in range(j + 1, len(y)) if gaps[i] < 0)
         delta = min(gaps[j], -gaps[k])
-        lam = _ONE - delta / (y[j] - y[k])
-        steps.append((j, k, lam))
+        spread = y[j] - y[k]
+        steps.append((j, k, Fraction(spread - delta, spread)))
         y[j] -= delta
         y[k] += delta
     return steps
@@ -187,29 +178,27 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     permutations of the two inputs, so it maps the original (unsorted) y to
     the original x exactly.
     """
-    verdict = compare(x, y)
-    if not verdict.is_below:
-        raise ValueError(f"x is not majorized by y: {verdict.relation.value}")
-    xs, ys = _padded(x, y)
-    n = len(xs)
+    (xs, ys), _ = _nonnegative_numerators(x, y)
     order_x = _argsort_desc(xs)
     order_y = _argsort_desc(ys)
     x_sorted = [xs[i] for i in order_x]
     y_sorted = [ys[i] for i in order_y]
+    verdict = _verdict(x_sorted, y_sorted)
+    if not verdict.is_below:
+        raise ValueError(f"x is not majorized by y: {verdict.relation.value}")
 
-    # chain acts on sorted coordinates; build D_sorted = T_r ... T_1 row by row
-    d_sorted = _identity_matrix(n)
-    for j, k, lam in _ttransform_chain(x_sorted, y_sorted):
-        row_j = d_sorted[j]
-        row_k = d_sorted[k]
-        d_sorted[j] = [lam * a + (_ONE - lam) * b for a, b in zip(row_j, row_k)]
-        d_sorted[k] = [(_ONE - lam) * a + lam * b for a, b in zip(row_j, row_k)]
-
-    # matrix[i][j] on original coordinates: x[order_x[r]] = row r of sorted
+    # sorted row r is original row order_x[r] and sorted column c original
+    # column order_y[c]: start from the permutation matrix pairing them and
+    # apply each T-transform of the sorted chain to the two original rows
+    n = len(xs)
     matrix = [[_ZERO] * n for _ in range(n)]
     for r in range(n):
-        for c in range(n):
-            matrix[order_x[r]][order_y[c]] = d_sorted[r][c]
+        matrix[order_x[r]][order_y[r]] = _ONE
+    for j, k, lam in _ttransform_chain(x_sorted, y_sorted):
+        j, k = order_x[j], order_x[k]
+        row_j, row_k = matrix[j], matrix[k]
+        matrix[j] = [lam * a + (_ONE - lam) * b for a, b in zip(row_j, row_k)]
+        matrix[k] = [(_ONE - lam) * a + lam * b for a, b in zip(row_j, row_k)]
     frozen: Matrix = tuple(tuple(row) for row in matrix)
     return DoublyStochasticWitness(frozen, tuple(birkhoff_decompose(frozen)))
 
@@ -231,18 +220,31 @@ def _check_doubly_stochastic(matrix: Matrix) -> int:
 
 
 def _try_augment(
-    row: int,
+    root: int,
     adj: list[list[int]],
     match_col: list[int],
     visited: list[bool],
 ) -> bool:
-    for col in adj[row]:
-        if visited[col]:
-            continue
-        visited[col] = True
-        if match_col[col] < 0 or _try_augment(match_col[col], adj, match_col, visited):
-            match_col[col] = row
-            return True
+    """Depth-first search for an augmenting path from the free row ``root``,
+    rematching its columns on success.  The stack holds each row on the
+    path with its untried columns, ``path[d]`` leads from row d to row d+1;
+    a stack, not recursion, because a path can pass through every row."""
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []
+    while stack:
+        for col in stack[-1][1]:
+            if not visited[col]:
+                visited[col] = True
+                path.append(col)
+                if match_col[col] < 0:
+                    for (row, _), c in zip(stack, path):
+                        match_col[c] = row
+                    return True
+                stack.append((match_col[col], iter(adj[match_col[col]])))
+                break
+        else:
+            stack.pop()
+            del path[-1:]
     return False
 
 

@@ -5,22 +5,21 @@ uniformity are exact rationals; Shannon and Renyi entropy are floats (base-2)
 with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
 fall back to the exact Renyi power sum (integer orders).
 
-Shannon entropy, guesswork and variation distance take ``Fraction``s at the
-API and are computed on integer numerators over the lcm of the entries'
-denominators, by the same kernels (``_shannon``, ``_guesswork``,
-``_variation``) that the q-query sweep and the experiments call directly.
+Every metric takes ``Fraction``s at the API, converts them once (``_prob``)
+to integer numerators over the lcm of the entries' denominators, and runs an
+integer kernel; ``_shannon``, ``_guesswork`` and ``_variation`` are also the
+kernels that the q-query sweep and the experiments call directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from typing import Sequence
 
-from .majorize import _exact_rational, _numerators, nonnegative_rationals
-
-_ZERO = Fraction(0)
+from .majorize import _exact_rational, _nonnegative_numerators
 
 ENTROPY_TOLERANCE = 1e-12
 
@@ -29,16 +28,14 @@ ENTROPY_TOLERANCE = 1e-12
 RENYI_EXACT_MAX_ORDER = 1000
 
 
-def _coerce_prob(xs: Sequence) -> list[Fraction]:
-    out = nonnegative_rationals(xs)
-    total = sum(out, _ZERO)
-    if total != 1:
-        raise ValueError(f"probability vector must sum to 1, got {total}")
-    return out
-
-
-def _desc(xs: list[Fraction]) -> list[Fraction]:
-    return sorted(xs, reverse=True)
+def _prob(x: Sequence) -> tuple[list[int], int]:
+    """A probability vector as integer numerators over the lcm of its
+    entries' denominators, and that denominator."""
+    (nums,), den = _nonnegative_numerators(x)
+    total = sum(nums)
+    if total != den:
+        raise ValueError(f"probability vector must sum to 1, got {Fraction(total, den)}")
+    return nums, den
 
 
 def _log2_int(n: int) -> float:
@@ -48,16 +45,17 @@ def _log2_int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
-def _log2_fraction(f: Fraction) -> float:
-    return _log2_int(f.numerator) - _log2_int(f.denominator)
+def _log2_ratio(n: int, den: int) -> float:
+    """log2(n/den) for n > 0, taken of the ratio in lowest terms, as of the
+    numerator and denominator of ``Fraction(n, den)``."""
+    g = math.gcd(n, den)
+    return _log2_int(n // g) - _log2_int(den // g)
 
 
 def _plog2p(n: int, den: int) -> float:
-    """(n/den) * log2(n/den) for n > 0, the log taken of the mass in lowest
-    terms, as ``_log2_fraction`` of a ``Fraction`` would; ``n / den`` is the
-    correctly rounded quotient, which is ``float(Fraction(n, den))``."""
-    g = math.gcd(n, den)
-    return n / den * (_log2_int(n // g) - _log2_int(den // g))
+    """(n/den) * log2(n/den) for n > 0; ``n / den`` is the correctly rounded
+    quotient, which is ``float(Fraction(n, den))``."""
+    return n / den * _log2_ratio(n, den)
 
 
 def _shannon(nums: Sequence[int], den: int) -> float:
@@ -68,7 +66,7 @@ def _shannon(nums: Sequence[int], den: int) -> float:
 
 def shannon_entropy(x: Sequence) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
-    return _shannon(*_numerators(_coerce_prob(x)))
+    return _shannon(*_prob(x))
 
 
 def renyi_entropy(x: Sequence, order) -> float:
@@ -82,30 +80,31 @@ def renyi_entropy(x: Sequence, order) -> float:
         raise ValueError(f"Renyi order must be positive, got {order}")
     if order == 1:
         raise ValueError("order 1 is Shannon entropy; call shannon_entropy")
-    xs = _coerce_prob(x)
+    nums, den = _prob(x)
     if (
         order <= RENYI_EXACT_MAX_ORDER
         and isinstance(order, Rational)
         and Fraction(order).denominator == 1
     ):
-        power = renyi_power_sum(xs, int(order))
+        a = int(order)
+        log_power = _log2_ratio(sum(n**a for n in nums), den**a)
         # 0.0 - s is -s for every s but 0.0, where it stays +0.0
-        return 0.0 - _log2_fraction(power) / (int(order) - 1)
+        return 0.0 - log_power / (a - 1)
     try:
         a = float(order)
     except OverflowError:
         a = math.inf
-    return _renyi_factored(xs, a)
+    return _renyi_factored(nums, den, a)
 
 
-def _renyi_factored(xs: list[Fraction], a: float) -> float:
+def _renyi_factored(nums: list[int], den: int, a: float) -> float:
     """Renyi entropy of order a with the largest mass x_max factored out:
     log2 sum x_i^a = a log2 x_max + log2 sum (x_i / x_max)^a, whose sum is
     at least 1, so the total neither underflows nor loses precision to
     subnormals."""
-    top = max(xs)
-    log_top = _log2_fraction(top)
-    ratio_sum = sum(float(f / top) ** a for f in xs if f > 0)
+    top = max(nums)
+    log_top = _log2_ratio(top, den)
+    ratio_sum = sum((n / top) ** a for n in nums if n)
     # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
     # gives the min-entropy -log_top; 0.0 - log_top keeps a point mass +0.0
     return 0.0 - log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
@@ -119,7 +118,7 @@ def renyi_power_sum(x: Sequence, order: int) -> Fraction:
     """
     if order < 1:
         raise ValueError("exact power sum needs integer order >= 1")
-    nums, den = _numerators(_coerce_prob(x))
+    nums, den = _prob(x)
     return Fraction(sum(n**order for n in nums), den**order)
 
 
@@ -131,7 +130,7 @@ def _guesswork(desc: Sequence[int], den: int) -> Fraction:
 
 def guesswork(x: Sequence) -> Fraction:
     """Expected guesses under the optimal (decreasing-probability) order."""
-    nums, den = _numerators(_coerce_prob(x))
+    nums, den = _prob(x)
     return _guesswork(sorted(nums, reverse=True), den)
 
 
@@ -142,6 +141,14 @@ def _check_alpha(alpha) -> Fraction:
     return a
 
 
+def _marginal(desc: Sequence[int], den: int, alpha: Fraction) -> int:
+    """Fewest leading entries of a decreasing vector of integer numerators
+    over ``den`` summing to ``den`` whose sum reaches ``alpha`` in (0, 1]."""
+    target = alpha.numerator * den
+    cums = accumulate(s * alpha.denominator for s in desc)
+    return next(i for i, cum in enumerate(cums, start=1) if cum >= target)
+
+
 def marginal_guesswork(x: Sequence, alpha) -> int:
     """Fewest guesses whose cumulative success probability reaches alpha.
 
@@ -149,23 +156,19 @@ def marginal_guesswork(x: Sequence, alpha) -> int:
     counts (exact comparison, no tolerance).
     """
     a = _check_alpha(alpha)
-    cum = _ZERO
-    for i, f in enumerate(_desc(_coerce_prob(x)), start=1):
-        cum += f
-        if cum >= a:
-            return i
-    raise AssertionError("unreachable: probability vector sums to 1 >= alpha")
+    nums, den = _prob(x)
+    return _marginal(sorted(nums, reverse=True), den, a)
 
 
 def alpha_guesswork(x: Sequence, alpha) -> Fraction:
     """Hybrid guessing cost w_a - w_a * sum_{i<=w_a} x_[i] + sum_{i<=w_a} i*x_[i]."""
     a = _check_alpha(alpha)
-    xs = _desc(_coerce_prob(x))
-    w = marginal_guesswork(xs, a)
-    head = xs[:w]
-    covered = sum(head, _ZERO)
-    partial = sum((Fraction(i) * f for i, f in enumerate(head, start=1)), _ZERO)
-    return Fraction(w) - w * covered + partial
+    nums, den = _prob(x)
+    desc = sorted(nums, reverse=True)
+    w = _marginal(desc, den, a)
+    head = desc[:w]
+    partial = sum(i * s for i, s in enumerate(head, start=1))
+    return Fraction(w * (den - sum(head)) + partial, den)
 
 
 def _variation(desc: Sequence[int], den: int) -> Fraction:
@@ -184,5 +187,5 @@ def variation_to_uniform(x: Sequence) -> Fraction:
     k = #{i : x_[i] >= 1/n}, the distance is x_[1] + ... + x_[k] - k/n,
     evaluated on integer numerators over the lcm of the denominators.
     """
-    nums, den = _numerators(_coerce_prob(x))
+    nums, den = _prob(x)
     return _variation(sorted(nums, reverse=True), den)

@@ -45,6 +45,8 @@ class Permutation(_Frozen):
         m = len(images)
         if m < 1:
             raise ValueError("permutation degree must be at least 1")
+        if any(type(i) is not int for i in images):
+            raise TypeError(f"images must be ints, got {list(images)}")
         if sorted(images) != list(range(m)):
             raise ValueError(f"not a bijection on 0..{m - 1}: {list(images)}")
         object.__setattr__(self, "images", images)

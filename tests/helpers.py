@@ -201,6 +201,25 @@ def guesswork_oracle(x) -> Fraction:
     return sum((i * f for i, f in enumerate(desc, start=1)), Fraction(0))
 
 
+def marginal_guesswork_oracle(x, alpha) -> int:
+    """Fewest leading entries of the decreasing rearrangement whose
+    Fraction sum reaches alpha."""
+    cum = Fraction(0)
+    for i, f in enumerate(sorted((Fraction(v) for v in x), reverse=True), start=1):
+        cum += f
+        if cum >= alpha:
+            return i
+    raise ValueError(f"the entries sum to {cum}, below alpha {alpha}")
+
+
+def alpha_guesswork_oracle(x, alpha) -> Fraction:
+    """w - w * (x_[1] + ... + x_[w]) + sum i * x_[i] over i <= w, with
+    w = marginal_guesswork_oracle(x, alpha), in Fractions."""
+    w = marginal_guesswork_oracle(x, alpha)
+    head = sorted((Fraction(v) for v in x), reverse=True)[:w]
+    return w - w * sum(head, Fraction(0)) + guesswork_oracle(head)
+
+
 def project_oracle(
     x: CipherDist, p: tuple[int, ...]
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -322,3 +341,27 @@ def permutation_matrix(p: Permutation) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(Fraction(int(p.images[i] == j)) for j in range(n)) for i in range(n)
     )
+
+
+def perfect_matching_oracle(adj: list[list[int]], n: int) -> list[int] | None:
+    """Row -> column perfect matching by Kuhn's algorithm with a recursive
+    augmenting-path search: rows augment in order, each trying its columns
+    in adjacency order, or None if there is none."""
+    match_col = [-1] * n
+
+    def augment(row: int, visited: list[bool]) -> bool:
+        for col in adj[row]:
+            if not visited[col]:
+                visited[col] = True
+                if match_col[col] < 0 or augment(match_col[col], visited):
+                    match_col[col] = row
+                    return True
+        return False
+
+    for row in range(n):
+        if not augment(row, [False] * n):
+            return None
+    assignment = [-1] * n
+    for col, row in enumerate(match_col):
+        assignment[row] = col
+    return assignment

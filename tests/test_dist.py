@@ -24,7 +24,7 @@ from cipherorder.groups import (
     symmetric_group,
 )
 from cipherorder.majorize import compare
-from cipherorder.perms import cycle, identity, transposition
+from cipherorder.perms import compose, cycle, identity, transposition
 
 from helpers import (
     convolve_oracle,
@@ -379,8 +379,22 @@ def test_integer_kernels_equal_fraction_oracle(name):
             decomp = triple_decompose(x, pi, z, h, k)
             assert_exact(decomp.mixture(), expected)
             assert sum(weights(decomp)) == 1
-            for part in decomp.parts:
-                assert math.gcd(part.den, *part.nums) == 1
+            # part b: x on the a with a*pi in block b, renormalized, times
+            # delta_pi * z; a block x misses gets the uniform part
+            shifted = convolve_oracle(point_mass(group, pi), z)
+            pi_element = group.element(pi)
+            for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
+                inside = {
+                    a
+                    for a, g in enumerate(group)
+                    if group.index(compose(g, pi_element)) in block
+                }
+                assert w == sum(x.mass[a] for a in inside)
+                if w:
+                    x_b = tuple(m / w if a in inside else 0 for a, m in enumerate(x.mass))
+                    assert_exact(part, convolve_oracle(CipherDist(group, x_b), shifted))
+                else:
+                    assert_exact(part, uniform_on(group, block))
         # sparse factors with their own denominators, and point masses
         u = random_dist_on(rng, group, h)
         v = random_dist_on(rng, group, k)

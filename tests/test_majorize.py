@@ -10,6 +10,7 @@ from cipherorder.groups import symmetric_group
 from cipherorder.majorize import (
     MajorizationVerdict,
     Relation,
+    _perfect_matching,
     birkhoff_decompose,
     compare,
     hlp_witness,
@@ -30,6 +31,7 @@ from helpers import (
     compare_oracle,
     majorized_pair,
     mixed_denominator_vector,
+    perfect_matching_oracle,
     permutation_matrix,
     rational_prob_vector,
     t_transform,
@@ -300,6 +302,27 @@ def test_birkhoff_random_doubly_stochastic(seed):
             recon[i][p.images[i]] += w
     assert tuple(tuple(r) for r in recon) == frozen
     assert len(terms) <= (n - 1) ** 2 + 1
+
+
+def test_perfect_matching_along_a_path_through_every_row():
+    # the last row's augmenting path runs back through all n - 1 other rows,
+    # three times the interpreter's default recursion limit
+    n = 3000
+    adj = [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]
+    assert _perfect_matching(adj, n) == [*range(1, n), 0]
+
+
+def test_perfect_matching_equals_recursive_reference():
+    rng = random.Random(1100)
+    found = 0
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        # at most three columns a row, so augmenting paths and failures occur
+        adj = [sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))) for _ in range(n)]
+        expected = perfect_matching_oracle(adj, n)
+        assert _perfect_matching(adj, n) == expected
+        found += expected is not None
+    assert 100 < found < 400
 
 
 def test_compare_equals_fraction_oracle_on_unequal_denominators():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cipherorder.majorize import compare
 from cipherorder.metrics import (
     RENYI_EXACT_MAX_ORDER,
-    _log2_fraction,
+    _log2_int,
     _shannon,
     alpha_guesswork,
     guesswork,
@@ -21,9 +21,11 @@ from cipherorder.metrics import (
 )
 
 from helpers import (
+    alpha_guesswork_oracle,
     guesswork_oracle,
     half_l1_to_uniform,
     majorized_pair,
+    marginal_guesswork_oracle,
     mixed_denominator_vector,
     rational_prob_vector,
     shannon_entropy_mp,
@@ -54,9 +56,27 @@ def test_shannon_entropy_examples():
         assert math.copysign(1.0, shannon_entropy(point_mass)) == 1.0
 
 
+def log2_fraction(f):
+    return _log2_int(f.numerator) - _log2_int(f.denominator)
+
+
 def shannon_reference(masses):
     """The Fraction evaluation the integer kernel must reproduce bit for bit."""
-    return -sum(float(f) * _log2_fraction(f) for f in masses if f > 0)
+    return -sum(float(f) * log2_fraction(f) for f in masses if f > 0)
+
+
+def renyi_reference(masses, order):
+    """The Fraction evaluation the integer Renyi kernels must reproduce bit
+    for bit: the exact power sum at integer orders up to
+    ``RENYI_EXACT_MAX_ORDER``, the largest mass factored out otherwise."""
+    if isinstance(order, int) and order <= RENYI_EXACT_MAX_ORDER:
+        power = sum((f**order for f in masses), F(0))
+        return 0.0 - log2_fraction(power) / (order - 1)
+    a = float(order)
+    top = max(masses)
+    log_top = log2_fraction(top)
+    ratio_sum = sum(float(f / top) ** a for f in masses if f > 0)
+    return 0.0 - log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
 
 
 @st.composite
@@ -122,7 +142,7 @@ def test_renyi_entropy_above_exact_bound_matches_power_sum():
     for _ in range(20):
         x = mixed_denominator_vector(rng, rng.randint(1, 6))
         for order in (RENYI_EXACT_MAX_ORDER + 1, 1500, 4000):
-            exact = _log2_fraction(renyi_power_sum(x, order)) / (1 - order)
+            exact = log2_fraction(renyi_power_sum(x, order)) / (1 - order)
             assert renyi_entropy(x, order) == pytest.approx(exact, abs=TOL)
         # nonincreasing in the order, across a non-integer order too
         low, mid, high = (renyi_entropy(x, a) for a in (1001, F(2003, 2), 1002))
@@ -158,6 +178,11 @@ def test_rational_metrics_equal_fraction_oracle_on_unequal_denominators():
         x = mixed_denominator_vector(rng, rng.randint(1, 9))
         assert variation_to_uniform(x) == variation_to_uniform_oracle(x)
         assert guesswork(x) == guesswork_oracle(x)
+        for alpha in (F(1, 7), F(1, 2), F(5, 9), F(1)):
+            assert marginal_guesswork(x, alpha) == marginal_guesswork_oracle(x, alpha)
+            assert alpha_guesswork(x, alpha) == alpha_guesswork_oracle(x, alpha)
+        for order in (2, F(7, 3), 1001, F(2003, 2), 600.5):
+            assert renyi_entropy(x, order) == renyi_reference(x, order)
 
 
 def test_renyi_rejects_bad_orders():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,13 @@ def test_rejects_non_bijections():
         Permutation((1, 2, 3))
     with pytest.raises(ValueError):
         Permutation(())
+    # images equal to a bijection's but not of type int
+    with pytest.raises(TypeError, match=r"^images must be ints, got \[1\.0, 0\.0\]$"):
+        Permutation((1.0, 0.0))
+    with pytest.raises(TypeError, match=r"^images must be ints, got \[True, False\]$"):
+        Permutation((True, False))
+    with pytest.raises(TypeError, match="images must be ints"):
+        Permutation((0, Fraction(1)))
 
 
 def test_identity_law():
