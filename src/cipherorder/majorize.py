@@ -1,15 +1,17 @@
 """The majorization preorder on nonnegative rational vectors, with witnesses.
 
-``compare`` and ``hlp_witness`` convert their input once (``_numerators``)
-to integer numerators over the lcm of all entry denominators and run on
-those.  ``compare`` decides x <= y (majorization) exactly via prefix sums of
-the decreasing rearrangements.  ``hlp_witness`` makes the
-Hardy-Littlewood-Polya direction constructive: an explicit doubly-stochastic
-matrix D with D y = x, built from at most n-1 T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
-a convex sum of permutation matrices by greedy bottleneck extraction; every
-step lowers the dimension of the smallest face of the Birkhoff polytope
-holding the remainder, so there are at most (n-1)^2 + 1 terms
-(Marshall-Olkin-Arnold, ch. 2).
+``compare``, ``hlp_witness`` and ``birkhoff_decompose`` convert their input
+once (``_numerators``) to integer numerators over the lcm of all entry
+denominators and run on those.  ``compare`` decides x <= y (majorization)
+exactly via prefix sums of the decreasing rearrangements.  ``hlp_witness``
+makes the Hardy-Littlewood-Polya direction constructive: an explicit
+doubly-stochastic matrix D with D y = x, built from at most n-1
+T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
+a convex sum of permutation matrices by greedy bottleneck extraction, with
+the matching and the subtraction on numerators; every step lowers the
+dimension of the smallest face of the Birkhoff polytope holding the
+remainder, so there are at most (n-1)^2 + 1 terms (Marshall-Olkin-Arnold,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -179,6 +181,8 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     the original x exactly.
     """
     (xs, ys), _ = _nonnegative_numerators(x, y)
+    if not xs:
+        raise ValueError("x and y must have at least one entry")
     order_x = _argsort_desc(xs)
     order_y = _argsort_desc(ys)
     x_sorted = [xs[i] for i in order_x]
@@ -203,20 +207,26 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     return DoublyStochasticWitness(frozen, tuple(birkhoff_decompose(frozen)))
 
 
-def _check_doubly_stochastic(matrix: Matrix) -> int:
+def _doubly_stochastic_numerators(matrix: Matrix) -> tuple[list[list[int]], int]:
+    """``_numerators`` of a doubly-stochastic matrix's rows: ValueError
+    unless it is nonempty, square, nonnegative and every row and column sums
+    to 1 (to the common denominator)."""
     n = len(matrix)
+    # before the conversion, which would zero-pad short rows
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    for row in matrix:
+    rows, den = _numerators(*matrix)
+    for row in rows:
         if any(e < 0 for e in row):
             raise ValueError("matrix entries must be nonnegative")
-        if sum(row) != 1:
-            raise ValueError(f"row sums to {sum(row)}, not 1")
-    for j in range(n):
-        col = sum(matrix[i][j] for i in range(n))
-        if col != 1:
-            raise ValueError(f"column {j} sums to {col}, not 1")
-    return n
+        if sum(row) != den:
+            raise ValueError(f"row sums to {Fraction(sum(row), den)}, not 1")
+    for j, col in enumerate(zip(*rows)):
+        if sum(col) != den:
+            raise ValueError(f"column {j} sums to {Fraction(sum(col), den)}, not 1")
+    return rows, den
 
 
 def _try_augment(
@@ -264,8 +274,9 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int] | None:
     return assignment
 
 
-def _bottleneck_matching(rows: list[list[Fraction]], n: int) -> list[int]:
-    """Perfect matching maximizing the minimum entry used (exact threshold scan)."""
+def _bottleneck_matching(rows: list[list[int]], n: int) -> list[int]:
+    """Perfect matching maximizing the minimum entry used: thresholds
+    scanned from the largest entry down, on integer numerators."""
     thresholds = sorted({e for row in rows for e in row if e > 0}, reverse=True)
     for t in thresholds:
         adj = [[j for j in range(n) if row[j] >= t] for row in rows]
@@ -279,8 +290,9 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
     """Write a doubly-stochastic matrix as a convex sum of permutations.
 
     Greedy extraction along a maximum-bottleneck perfect matching (columns
-    tried smallest index first).  The weighted sum of permutation matrices
-    reproduces the input exactly.
+    tried smallest index first), on the entries' integer numerators over
+    the lcm of their denominators; only the weights are ``Fraction``s.  The
+    weighted sum of permutation matrices reproduces the input exactly.
 
     There are at most (n-1)^2 + 1 terms.  The smallest face of the Birkhoff
     polytope B_n holding the remainder is the set of doubly-stochastic
@@ -291,14 +303,14 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
     most dim B_n = (n-1)^2, and a 0-dimensional face is one permutation
     matrix, extracted in one last step.
     """
-    n = _check_doubly_stochastic(matrix)
-    rows = [list(row) for row in matrix]
-    remaining = _ONE
+    rows, den = _doubly_stochastic_numerators(matrix)
+    n = len(rows)
+    remaining = den
     terms: list[tuple[Fraction, Permutation]] = []
     while remaining > 0:
         assignment = _bottleneck_matching(rows, n)
         weight = min(rows[i][assignment[i]] for i in range(n))
-        terms.append((weight, Permutation(tuple(assignment))))
+        terms.append((Fraction(weight, den), Permutation(tuple(assignment))))
         for i in range(n):
             rows[i][assignment[i]] -= weight
         remaining -= weight

@@ -71,12 +71,14 @@ def _json(text: str, where: str) -> Any:
 
 
 def parse_permutation(value: Any, *, where: str, degree: int | None = None) -> Permutation:
-    # type() rather than isinstance() here and below: JSON true/false load as
-    # bool, a subclass of int
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
+    # Permutation refuses images whose type is not int, JSON true/false
+    # (bool, a subclass of int) included
+    if not isinstance(value, list):
         raise ScenarioError(f"{where}: a permutation must be a list of ints")
     try:
         p = Permutation(tuple(value))
+    except TypeError:
+        raise ScenarioError(f"{where}: a permutation must be a list of ints") from None
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
     if degree is not None and p.degree != degree:
@@ -205,6 +207,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
 
     m = raw.get("message_count")
+    # type() rather than isinstance() here and for q_max: JSON true/false
+    # load as bool, a subclass of int
     if type(m) is not int or m < 1:
         raise ScenarioError("message_count: must be a positive integer")
     group = parse_group_spec(raw.get("group", f"sym({m})"), where="group", degree=m)

@@ -365,3 +365,30 @@ def perfect_matching_oracle(adj: list[list[int]], n: int) -> list[int] | None:
     for col, row in enumerate(match_col):
         assignment[row] = col
     return assignment
+
+
+def birkhoff_decompose_oracle(matrix) -> list[tuple[Fraction, Permutation]]:
+    """Greedy Birkhoff decomposition on ``Fraction`` entries: each step
+    scans every distinct positive entry as a threshold, largest first, takes
+    the first threshold whose adjacency has a perfect matching (by
+    ``perfect_matching_oracle``) and subtracts the smallest matched entry
+    along it.  Expects a doubly-stochastic matrix."""
+    n = len(matrix)
+    rows = [[Fraction(e) for e in row] for row in matrix]
+    remaining = Fraction(1)
+    terms: list[tuple[Fraction, Permutation]] = []
+    while remaining > 0:
+        thresholds = sorted({e for row in rows for e in row if e > 0}, reverse=True)
+        for t in thresholds:
+            adj = [[j for j in range(n) if row[j] >= t] for row in rows]
+            assignment = perfect_matching_oracle(adj, n)
+            if assignment is not None:
+                break
+        else:
+            raise ValueError("matrix support admits no perfect matching")
+        weight = min(rows[i][assignment[i]] for i in range(n))
+        terms.append((weight, Permutation(tuple(assignment))))
+        for i in range(n):
+            rows[i][assignment[i]] -= weight
+        remaining -= weight
+    return terms

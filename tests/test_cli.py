@@ -107,6 +107,23 @@ def test_majorize_witness_output(tmp_path, capsys):
         assert rebuilt == matrix
 
 
+# a majorized pair with n = 12 after 12 random T-transforms, coordinates
+# shuffled; the witness has 27 Birkhoff terms
+WITNESS_X = (
+    "5/54 5/378 1/9 25/252 17/189 3715/54432 2/27 1/7"
+    " 39539/653184 35113/653184 5/63 29/252"
+)
+WITNESS_Y = "5/63 1/7 4/63 0 1/9 1/63 1/21 1/7 5/63 5/63 1/9 8/63"
+
+
+def test_majorize_witness_golden_output(tmp_path, capsys):
+    x = write(tmp_path, "x.vec", WITNESS_X + "\n")
+    y = write(tmp_path, "y.vec", WITNESS_Y + "\n")
+    code = main(["majorize", x, y, "--witness"])
+    assert code == MAJORIZE_EXIT_CODES[Relation.STRICTLY_BELOW]
+    assert capsys.readouterr().out == (DATA / "majorize_witness.out").read_text()
+
+
 def test_majorize_missing_file(tmp_path, capsys):
     assert main(["majorize", str(tmp_path / "none.vec"), str(tmp_path / "x")]) == 2
 

@@ -28,6 +28,7 @@ from cipherorder.perms import Permutation, identity
 
 from helpers import (
     apply_matrix,
+    birkhoff_decompose_oracle,
     compare_oracle,
     majorized_pair,
     mixed_denominator_vector,
@@ -82,6 +83,7 @@ FLOAT_ENTRY_CALLS = {
     "CipherDist": lambda v: CipherDist(symmetric_group(2), v),
     "compare": lambda v: compare(v, [F(1, 2), F(1, 2)]),
     "hlp_witness": lambda v: hlp_witness(v, [F(1), F(0)]),
+    "birkhoff_decompose": lambda v: birkhoff_decompose((v, v[::-1])),
     "shannon_entropy": shannon_entropy,
     "renyi_entropy": lambda v: renyi_entropy(v, 2),
     "renyi_power_sum": lambda v: renyi_power_sum(v, 2),
@@ -274,10 +276,54 @@ def test_birkhoff_uniform_three():
 
 
 def test_birkhoff_rejects_bad_matrices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^column 0 sums to 3/2, not 1$"):
         birkhoff_decompose(((F(1, 2), F(1, 2)), (F(1), F(0))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix entries must be nonnegative$"):
         birkhoff_decompose(((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))))
+    with pytest.raises(ValueError, match=r"^row sums to 5/6, not 1$"):
+        birkhoff_decompose(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3))))
+    # checked before the rows become numerators, which would zero-pad (1,)
+    with pytest.raises(ValueError, match=r"^matrix must be square$"):
+        birkhoff_decompose(((1, 0), (1,)))
+    with pytest.raises(ValueError, match=r"^matrix must be square$"):
+        birkhoff_decompose(((1, 0),))
+    with pytest.raises(ValueError, match=r"^matrix must have at least one row$"):
+        birkhoff_decompose(())
+    with pytest.raises(ValueError, match=r"^x and y must have at least one entry$"):
+        hlp_witness([], [])
+
+
+def random_doubly_stochastic(rng, n, terms, max_den):
+    """A convex mixture of ``terms`` random permutation matrices whose
+    weights have independent random denominators up to ``max_den``."""
+    dens = [rng.randint(1, max_den) for _ in range(terms)]
+    weights = [F(rng.randint(1, d), d) for d in dens]
+    total = sum(weights)
+    d = [[F(0)] * n for _ in range(n)]
+    for w in weights:
+        images = rng.sample(range(n), n)
+        for i in range(n):
+            d[i][images[i]] += w / total
+    return tuple(tuple(row) for row in d)
+
+
+def test_birkhoff_equals_fraction_oracle_on_mixed_denominators():
+    rng = random.Random(2064)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        d = random_doubly_stochastic(rng, n, rng.randint(1, 12), 2**64)
+        assert birkhoff_decompose(d) == birkhoff_decompose_oracle(d)
+
+
+def test_witness_decomposition_equals_fraction_oracle():
+    rng = random.Random(1212)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        x, y = majorized_pair(rng, n, transforms=rng.randint(1, n))
+        rng.shuffle(x)
+        rng.shuffle(y)
+        witness = hlp_witness(x, y)
+        assert list(witness.decomposition) == birkhoff_decompose_oracle(witness.matrix)
 
 
 @settings(max_examples=50)

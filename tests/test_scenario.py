@@ -10,6 +10,7 @@ from cipherorder.perms import Permutation, transposition
 from cipherorder.scenario import (
     ScenarioError,
     parse_group_spec,
+    parse_permutation,
     parse_scenario,
     parse_subgroup,
 )
@@ -169,8 +170,19 @@ def test_json_booleans_are_not_ints(path, value, field):
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(ScenarioError, match=field):
+    with pytest.raises(ScenarioError, match=field) as info:
         parse_scenario(json.dumps(raw))
+    if path[0] == "ciphers":
+        message = rf"ciphers\.{field}: a permutation must be a list of ints"
+        assert re.fullmatch(message, str(info.value))
+
+
+@pytest.mark.parametrize("value", [[0, 1.0, 2], [0, "1", 2], [0, [1], 2], {"0": 1}, 3])
+def test_permutation_must_be_a_list_of_ints(value):
+    # Permutation's TypeError for a non-int image becomes the field's error
+    message = r"^pi: a permutation must be a list of ints$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_permutation(value, where="pi", degree=3)
 
 
 def test_deterministic_outside_group_rejected():
