@@ -43,7 +43,7 @@ from .metrics import (
     shannon_entropy,
     variation_to_uniform,
 )
-from .perms import Permutation, compose, cycle, identity, transposition
+from .perms import Permutation, transposition
 from .qsecurity import (
     ComparisonReport,
     Direction,
@@ -71,19 +71,16 @@ __all__ = [
     "closure",
     "compare",
     "compare_q",
-    "compose",
     "conditional_guesswork_oracle",
     "conjugate_subgroup",
     "convolve",
     "convolve_all",
-    "cycle",
     "cyclic_group",
     "deterministic",
     "distinct_tuples",
     "double_coset",
     "guesswork",
     "hlp_witness",
-    "identity",
     "left_cosets",
     "marginal_guesswork",
     "parse_scenario",

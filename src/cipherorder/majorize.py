@@ -66,14 +66,11 @@ class MajorizationVerdict(NamedTuple):
     def is_strictly_above(self) -> bool:
         return self.relation is Relation.STRICTLY_ABOVE
 
-    @property
-    def is_equal(self) -> bool:
-        return self.relation is Relation.EQUAL_UP_TO_PERMUTATION
-
 
 def _exact_rational(v) -> Fraction:
-    """``v`` as a ``Fraction``; TypeError unless it is rational or a string."""
-    if not isinstance(v, (str, Rational)):
+    """``v`` as a ``Fraction``; TypeError unless it is rational or a string.
+    ``bool`` is a registered ``Rational`` but is refused."""
+    if isinstance(v, bool) or not isinstance(v, (str, Rational)):
         raise TypeError(f"expected exact rational entries, got {type(v).__name__}")
     return Fraction(v)
 

@@ -2,8 +2,7 @@
 
 Guesswork, marginal guesswork, alpha-guesswork and variation distance to
 uniformity are exact rationals; Shannon and Renyi entropy are floats (base-2)
-with an absolute tolerance of 1e-12 for comparisons.  Near ties, callers can
-fall back to the exact Renyi power sum (integer orders).
+with an absolute tolerance of 1e-12 for comparisons.
 
 Every metric takes ``Fraction``s at the API, converts them once (``_prob``)
 to integer numerators over the lcm of the entries' denominators, and runs an
@@ -76,7 +75,7 @@ def renyi_entropy(x: Sequence, order) -> float:
     power sum.  Every other order factors out the largest mass x_max in
     floats (see ``_renyi_factored``), so no power sum underflows.
     """
-    if order <= 0:
+    if not order > 0:
         raise ValueError(f"Renyi order must be positive, got {order}")
     if order == 1:
         raise ValueError("order 1 is Shannon entropy; call shannon_entropy")
@@ -108,18 +107,6 @@ def _renyi_factored(nums: list[int], den: int, a: float) -> float:
     # (a log_top + log2 ratio_sum) / (1 - a), rearranged so that a = inf
     # gives the min-entropy -log_top; 0.0 - log_top keeps a point mass +0.0
     return 0.0 - log_top - (log_top + math.log2(ratio_sum)) / (a - 1)
-
-
-def renyi_power_sum(x: Sequence, order: int) -> Fraction:
-    """Exact sum of x_i^order for integer order; the Renyi entropy argument.
-
-    Schur-convex for order > 1, so it decides entropy orderings near float
-    ties without any tolerance.
-    """
-    if order < 1:
-        raise ValueError("exact power sum needs integer order >= 1")
-    nums, den = _prob(x)
-    return Fraction(sum(n**order for n in nums), den**order)
 
 
 def _guesswork(desc: Sequence[int], den: int) -> Fraction:

@@ -71,19 +71,17 @@ def _column_sums(profiles: Sequence[Sequence]) -> list:
 
 
 def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
-    """Brute-force reference: group permutations by their actual image of p,
+    """Brute-force reference: group the elements by their word's image of p,
     sort each group's posterior decreasingly, and sum the per-ciphertext
     optimal guess counts weighted by the ciphertext probability.
 
     Independent of the coset machinery; must agree exactly with the
     ``guesswork_left``/``guesswork_right`` of ``compare_q``'s rows.
     """
-    group = x.group
-    check_points(p, group.degree)
-    pt = tuple(p)
+    check_points(p, x.group.degree)
     by_image: dict[tuple[int, ...], list[Fraction]] = {}
-    for i, g in enumerate(group):
-        by_image.setdefault(g.apply(pt), []).append(x.mass[i])
+    for w, mass in zip(x.group.words, x.mass):
+        by_image.setdefault(tuple(w[a] for a in p), []).append(mass)
     total = _ZERO
     for masses in by_image.values():
         prob = sum(masses, _ZERO)

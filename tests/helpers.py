@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 from cipherorder import (
     CipherDist,
@@ -14,7 +15,7 @@ from cipherorder import (
     uniform_on,
 )
 from cipherorder.majorize import MajorizationVerdict, Relation
-from cipherorder.perms import Permutation, compose, identity
+from cipherorder.perms import Permutation
 from cipherorder.qsecurity import (
     ComparisonReport,
     Direction,
@@ -22,6 +23,49 @@ from cipherorder.qsecurity import (
     TupleComparison,
     distinct_tuples,
 )
+
+
+# The word algebra of ``Permutation``s, independent of ``GroupTable``: the
+# oracles below and the test constructions compose, invert and apply with
+# it.  In ``compose(a, b)`` the right factor ``b`` acts first, so a product
+# cipher ``E = XY`` applies ``Y`` to the plaintext before ``X``.
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """The composition ``a after b``: ``b`` acts first, then ``a``."""
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    return Permutation(tuple(a.images[j] for j in b.images))
+
+
+def inverse(g: Permutation) -> Permutation:
+    inv = [0] * g.degree
+    for i, img in enumerate(g.images):
+        inv[img] = i
+    return Permutation(tuple(inv))
+
+
+def apply(g: Permutation, p: int | tuple[int, ...]) -> int | tuple[int, ...]:
+    """Image of a point, or the componentwise image of a tuple of points."""
+    if isinstance(p, tuple):
+        return tuple(apply(g, q) for q in p)
+    if not 0 <= p < g.degree:
+        raise ValueError(f"point {p} out of range for degree {g.degree}")
+    return g.images[p]
+
+
+def identity(m: int) -> Permutation:
+    return Permutation(tuple(range(m)))
+
+
+def cycle(m: int, points: Sequence[int]) -> Permutation:
+    """The cycle sending ``points[i]`` to ``points[i+1]``, wrapping around."""
+    if len(set(points)) != len(points):
+        raise ValueError("cycle points must be distinct")
+    word = list(range(m))
+    for i, p in enumerate(points):
+        word[p] = points[(i + 1) % len(points)]
+    return Permutation(tuple(word))
 
 
 def rational_prob_vector(

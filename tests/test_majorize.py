@@ -20,16 +20,16 @@ from cipherorder.metrics import (
     guesswork,
     marginal_guesswork,
     renyi_entropy,
-    renyi_power_sum,
     shannon_entropy,
     variation_to_uniform,
 )
-from cipherorder.perms import Permutation, identity
+from cipherorder.perms import Permutation
 
 from helpers import (
     apply_matrix,
     birkhoff_decompose_oracle,
     compare_oracle,
+    identity,
     majorized_pair,
     mixed_denominator_vector,
     perfect_matching_oracle,
@@ -78,7 +78,8 @@ def test_negative_entries_rejected():
 
 
 # one type rule for exact entries: each takes the float vector [0.5, 0.5],
-# whose entries are exact binary fractions that sum to 1
+# whose entries are exact binary fractions that sum to 1, and the vector
+# [True, False], whose entries are registered Rationals that sum to 1
 FLOAT_ENTRY_CALLS = {
     "CipherDist": lambda v: CipherDist(symmetric_group(2), v),
     "compare": lambda v: compare(v, [F(1, 2), F(1, 2)]),
@@ -86,7 +87,6 @@ FLOAT_ENTRY_CALLS = {
     "birkhoff_decompose": lambda v: birkhoff_decompose((v, v[::-1])),
     "shannon_entropy": shannon_entropy,
     "renyi_entropy": lambda v: renyi_entropy(v, 2),
-    "renyi_power_sum": lambda v: renyi_power_sum(v, 2),
     "guesswork": guesswork,
     "marginal_guesswork": lambda v: marginal_guesswork(v, F(1, 2)),
     "alpha_guesswork": lambda v: alpha_guesswork(v, F(1, 2)),
@@ -98,6 +98,8 @@ FLOAT_ENTRY_CALLS = {
 def test_float_entries_are_refused_everywhere(call):
     with pytest.raises(TypeError, match=r"^expected exact rational entries, got float$"):
         call([0.5, 0.5])
+    with pytest.raises(TypeError, match=r"^expected exact rational entries, got bool$"):
+        call([True, False])
 
 
 # 0.2 is the binary fraction just above 1/5, so reading it as a Fraction
@@ -114,6 +116,8 @@ def test_float_alpha_is_refused_like_float_entries(call, exact):
     assert call(x, F(1, 5)) == exact
     with pytest.raises(TypeError, match=r"^expected exact rational entries, got float$"):
         call(x, 0.2)
+    with pytest.raises(TypeError, match=r"^expected exact rational entries, got bool$"):
+        call(x, True)
 
 
 def test_zero_padding_of_shorter_vector():

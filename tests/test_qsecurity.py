@@ -12,7 +12,7 @@ from cipherorder.dist import (
 from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
 from cipherorder.majorize import MajorizationVerdict, Relation, compare
 from cipherorder.metrics import guesswork
-from cipherorder.perms import Permutation, compose, transposition
+from cipherorder.perms import Permutation, transposition
 from cipherorder.qsecurity import (
     ComparisonReport,
     Direction,
@@ -28,7 +28,9 @@ from cipherorder.qsecurity import (
 
 from helpers import (
     compare_q_oracle,
+    compose,
     dist_over,
+    inverse,
     project_oracle,
     random_dist,
     random_dist_on,
@@ -84,7 +86,7 @@ def test_project_stabilizer_supported_cipher():
     assert masses == (F(1), F(0), F(0))
     row = compare_q(x, deterministic(S3, PI), 1).levels[1].tuples[0]
     assert row.points == (0,)
-    assert row.coset_verdict.is_equal
+    assert row.coset_verdict.relation is Relation.EQUAL_UP_TO_PERMUTATION
     assert row.advantage_left == row.advantage_right == F(2, 3)
 
 
@@ -344,7 +346,7 @@ def relabel(x: CipherDist, sigma: Permutation) -> CipherDist:
     group = x.group
     mass = [F(0)] * group.order
     for g, m in zip(group, x.mass):
-        mass[group.index(compose(compose(sigma, g), sigma.inverse()))] = m
+        mass[group.index(compose(compose(sigma, g), inverse(sigma)))] = m
     return CipherDist(group, tuple(mass))
 
 
