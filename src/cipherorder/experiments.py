@@ -146,8 +146,9 @@ def run_expand(
     q_max = _default_q_max(group, q_max)
     x = uniform_on(group, h)
     y = deterministic(group, pi)
-    t = convolve(x, convolve(y, x))
-    d = convolve(x, x)
+    yx = convolve(y, x, right_invariant=h)
+    t = convolve(x, yx, right_invariant=h)
+    d = convolve(x, x, right_invariant=h)
     rows = _Rows()
 
     if pi in h:
@@ -201,9 +202,9 @@ def run_collapse(
     uniform_h = uniform_on(group, h)
     x = translate(pi, uniform_h)
     y = deterministic(group, pi_inv)
-    yx = convolve(y, x)
-    t = convolve(x, yx)
-    d = convolve(x, x)
+    yx = convolve(y, x, right_invariant=h)
+    t = convolve(x, yx, right_invariant=h)
+    d = convolve(x, x, right_invariant=h)
     rows = _Rows()
 
     if pi in h:
@@ -226,8 +227,9 @@ def run_collapse(
 
     # dropping the leading pi recovers the expansion experiment's pair
     y_exp = deterministic(group, pi)
-    t_exp = convolve(uniform_h, convolve(y_exp, uniform_h))
-    d_exp = convolve(uniform_h, uniform_h)
+    yx_exp = convolve(y_exp, uniform_h, right_invariant=h)
+    t_exp = convolve(uniform_h, yx_exp, right_invariant=h)
+    d_exp = convolve(uniform_h, uniform_h, right_invariant=h)
     rows.exact("translated_T_equals_expand_D", True, translate(pi_inv, t) == d_exp)
     rows.exact("translated_D_equals_expand_T", True, translate(pi_inv, d) == t_exp)
 
@@ -263,7 +265,8 @@ def run_general_collapse(
     x_prod = x
     prev_support = 0
     for r in range(1, rounds + 1):
-        e = convolve(x, convolve(y, e))
+        ye = convolve(y, e, right_invariant=h)
+        e = convolve(x, ye, right_invariant=h)
         x_prod = convolve(x, x_prod)
         rows.exact(f"r{r}_support_E", len(h), e.support_size())
         rows.exact(f"r{r}_E_equals_uniform_piH", True, e == x)
@@ -296,8 +299,9 @@ def run_amplifier(n: int) -> ExperimentResult:
     h = stabilizer(group, (fixed_point,))
     pi = group.index(Permutation(tuple((i + 1) % space for i in range(space))))
     x = uniform_on(group, h)
-    t = convolve(x, convolve(deterministic(group, pi), x))
-    d = convolve(x, x)
+    pi_x = convolve(deterministic(group, pi), x, right_invariant=h)
+    t = convolve(x, pi_x, right_invariant=h)
+    d = convolve(x, x, right_invariant=h)
     rows = _Rows()
 
     hpih = _union(double_coset(group, h, pi, h))

@@ -20,6 +20,7 @@ from cipherorder.groups import (
     closure,
     cyclic_group,
     double_coset,
+    left_cosets,
     stabilizer,
     symmetric_group,
 )
@@ -130,6 +131,21 @@ def test_deterministic_examples():
     for outside in (-1, S3.order):
         with pytest.raises(ValueError, match="out of range"):
             deterministic(S3, outside)
+
+
+def test_element_indices_are_ints():
+    # a bool or a float index is refused, not read as the int it equals
+    x = random_dist(random.Random(3), S3)
+    for bad in (True, 1.0, 2.0):
+        with pytest.raises(TypeError, match="element indices must be ints"):
+            uniform_on(S3, [bad])
+        with pytest.raises(TypeError, match="element indices must be ints"):
+            deterministic(S3, bad)
+        with pytest.raises(TypeError, match="element indices must be ints"):
+            translate(bad, x)
+    # also when it equals an int index beside it
+    with pytest.raises(TypeError, match="element indices must be ints"):
+        uniform_on(S3, [1, True])
 
 
 def test_convolution_unit_laws():
@@ -410,3 +426,106 @@ def test_integer_kernels_equal_fraction_oracle(name):
         share = Fraction(1, len(h))
         uniform = tuple(share if i in inside else 0 for i in range(group.order))
         assert_exact(uniform_on(group, h), CipherDist(group, uniform))
+
+
+def coset_constant_dist(rng, group, blocks):
+    """Random exact distribution constant on each of ``blocks``, with some
+    blocks (never all) at zero."""
+    values = [rng.choice([0, 0, 1, 2, 3, 5]) for _ in blocks]
+    if not any(values):
+        values[rng.randrange(len(blocks))] = 1
+    total = sum(v * len(block) for v, block in zip(values, blocks))
+    mass = [Fraction(0)] * group.order
+    for v, block in zip(values, blocks):
+        for i in block:
+            mass[i] = Fraction(v, total)
+    return CipherDist(group, tuple(mass))
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_GROUPS))
+def test_right_invariant_convolve_equals_oracle(name):
+    group = DIFFERENTIAL_GROUPS[name]
+    rng = random.Random(f"right-invariant:{name}")
+    trivial = (group.index(identity(group.degree)),)
+    whole = tuple(range(group.order))
+    draws = 3 if group.order > 24 else 8
+    subgroups = [trivial, whole] + [random_subgroup(rng, group) for _ in range(draws)]
+    for k in subgroups:
+        blocks = left_cosets(group, k)
+        y = coset_constant_dist(rng, group, blocks)
+        sparse = random_dist_on(rng, group, random_subgroup(rng, group))
+        dense = dist_over(rng, group, 27)
+        point = point_mass(group, rng.randrange(group.order))
+        for x in (sparse, dense, point):
+            result = convolve(x, y, right_invariant=k)
+            assert_exact(result, convolve_oracle(x, y))
+            assert result == convolve(x, y)
+            assert hash(result) == hash(convolve(x, y))
+
+
+def test_right_invariant_refuses_a_factor_not_constant_on_cosets():
+    h = stabilizer(S4, (3,))
+    x = random_dist(random.Random(31), S4)
+    # uniform on H is constant on the cosets of H, not on those of S4 or of
+    # another point stabilizer
+    y = uniform_on(S4, h)
+    assert convolve(x, y, right_invariant=h) == convolve(x, y)
+    for k in (tuple(range(S4.order)), stabilizer(S4, (0,))):
+        with pytest.raises(ValueError, match="right_invariant"):
+            convolve(x, y, right_invariant=k)
+    # one mass moved inside a coset of H breaks the invariance
+    mass = list(y.mass)
+    i, j = h[0], h[1]
+    mass[i], mass[j] = mass[i] + mass[j], Fraction(0)
+    with pytest.raises(ValueError, match="right_invariant"):
+        convolve(x, CipherDist(S4, tuple(mass)), right_invariant=h)
+    with pytest.raises(TypeError):
+        convolve(x, y, h)
+
+
+def renormalized(x, block, pi, w):
+    """``x`` on the a with a*pi in ``block``, divided by that mass ``w``."""
+    group = x.group
+    pi_element = group.element(pi)
+    inside = {a for a, g in enumerate(group) if group.index(compose(g, pi_element)) in block}
+    return CipherDist(group, tuple(m / w if a in inside else 0 for a, m in enumerate(x.mass)))
+
+
+def test_triple_decompose_parts_of_a_uniform_z(monkeypatch):
+    # z uniform on K makes delta_pi * z constant on the cosets of K: each
+    # weighted part is uniform on its block, and is computed on the cosets
+    import cipherorder.dist as dist
+
+    invariants = []
+
+    def recording(x, y, *, right_invariant=None):
+        invariants.append(right_invariant)
+        return convolve(x, y, right_invariant=right_invariant)
+
+    monkeypatch.setattr(dist, "convolve", recording)
+    rng = random.Random(37)
+    for group in (S3, S4, symmetric_group(5)):
+        for _ in range(6):
+            h = random_subgroup(rng, group)
+            k = random_subgroup(rng, group)
+            pi = rng.randrange(group.order)
+            x = random_dist_on(rng, group, h)
+            shifted = convolve_oracle(point_mass(group, pi), uniform_on(group, k))
+            invariants.clear()
+            decomp = triple_decompose(x, pi, uniform_on(group, k), h, k)
+            assert k in invariants
+            for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
+                assert part == uniform_on(group, block)
+                if w:
+                    assert_exact(part, convolve_oracle(renormalized(x, block, pi, w), shifted))
+            # a z inside K that is not uniform on it takes the general loop
+            z = dist_over(rng, group, 25, k)
+            if z == uniform_on(group, k):
+                continue
+            shifted = convolve_oracle(point_mass(group, pi), z)
+            invariants.clear()
+            decomp = triple_decompose(x, pi, z, h, k)
+            assert k not in invariants
+            for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
+                if w:
+                    assert_exact(part, convolve_oracle(renormalized(x, block, pi, w), shifted))
