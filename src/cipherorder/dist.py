@@ -10,14 +10,18 @@ view of the masses for the API.  As in ``groups``, an element is an index
 of the group (an ``int``; a ``bool`` or a float is a TypeError) and a
 subgroup a sorted tuple of them.
 
-``convolve(x, y, right_invariant=k)`` reduces the product to the left
-cosets G/K: when y is constant on each coset g*K, so is x*y, and it takes
-|supp x| * |G/K| products instead of |supp x| * |supp y|.  That y is
-constant on each block of ``left_cosets(G, k)`` is checked, in O(|G|),
-and a ValueError names ``right_invariant`` otherwise, so a wrong K never
-gives a wrong product; that ``k`` is a subgroup is trusted, as in
-``left_cosets``.  The experiments pass their H, whose uniform distribution,
-cosets and products ending in either are all constant on the cosets of H.
+``convolve`` is one loop over supp x and a list of representatives of the
+right factor.  Plainly they are supp y.  With ``right_invariant=k``, y is
+constant on each coset g*K, so is x*y, and the product is the same loop
+over one representative per coset where y is nonzero, followed by a sum
+over each coset: |supp x| * |G/K| products instead of |supp x| * |supp y|
+(a function on G constant on the cosets is a function on G/K).  That y is
+constant on each block of ``left_cosets(G, k)`` is checked, in O(|G|), and
+a ValueError names ``right_invariant`` otherwise, so a wrong K never gives
+a wrong product; that ``k`` is a subgroup is trusted, as in
+``left_cosets``, which builds each partition once per table.  The
+experiments pass their H, whose uniform distribution, cosets and products
+ending in either are all constant on the cosets of H.
 """
 
 from __future__ import annotations
@@ -156,60 +160,41 @@ def convolve(
 ) -> CipherDist:
     """Distribution of the product cipher XY: z(g) = sum_{a*b=g} x(a) y(b).
 
-    Sparse double loop over the support pairs supp(x) x supp(y), adding the
-    numerator product at the index of a*b over the denominator product; no
-    inverses are needed.
+    Sparse double loop over supp(x) and the right factor's representatives,
+    adding the numerator product at the index of a*b over the denominator
+    product; no inverses are needed.  The representatives are supp(y).
 
     ``right_invariant=k`` declares ``y`` constant on the left cosets g*K of
     the subgroup ``k`` (a sorted index tuple, as ``left_cosets`` takes it);
-    then so is the product, and it is computed once per coset instead.
+    ValueError, before any product, if it is not.  The representatives are
+    then the first element of each coset B where y is nonzero: a*rep(B)
+    lies in the coset a*B, which gains x(a) y(B), so one last pass gives
+    every element of a coset the coset's sum, and the numerators equal the
+    general loop's.  That is |supp x| * |G/K| products.
     """
     group = _require_same_group(x, y)
-    if right_invariant is not None:
-        return _convolve_on_cosets(x, y, left_cosets(group, right_invariant))
-    supp_y = y.support()
-    right = [y.nums[j] for j in supp_y]
-    row = group.right_products(supp_y)
+    nums = y.nums
+    if right_invariant is None:
+        blocks, reps = (), y.support()
+    else:
+        blocks = left_cosets(group, right_invariant)
+        if any(len({nums[i] for i in block}) > 1 for block in blocks):
+            raise ValueError(
+                "right_invariant: the right factor is not constant on "
+                "the left cosets of the given subgroup"
+            )
+        reps = [block[0] for block in blocks if nums[block[0]]]
+    right = [nums[j] for j in reps]
+    row = group.right_products(reps)
     out = [0] * group.order
     for i, xi in enumerate(x.nums):
         if xi:
             for k, yj in zip(row(i), right):
                 out[k] += xi * yj
-    return CipherDist.from_numerators(group, out, x.den * y.den)
-
-
-def _convolve_on_cosets(
-    x: CipherDist, y: CipherDist, blocks: tuple[tuple[int, ...], ...]
-) -> CipherDist:
-    """``convolve(x, y)`` for ``y`` constant on each of the left cosets
-    ``blocks`` of a subgroup K: the coset a*B gains x(a) y(B) for each a in
-    supp(x) and each coset B where y is nonzero, with a*B found as the coset
-    of a*rep(B).  That is |supp x| * |G/K| products, and each element of a
-    coset gets the coset's value, so the numerators equal the general loop's.
-    ValueError, before any product, if ``y`` is not constant on a coset."""
-    group = x.group
-    nums = y.nums
-    block_of = [0] * group.order
-    reps, right = [], []
-    for b, block in enumerate(blocks):
-        value = nums[block[0]]
+    for block in blocks:
+        total = sum([out[i] for i in block])
         for i in block:
-            if nums[i] != value:
-                raise ValueError(
-                    "right_invariant: the right factor is not constant on "
-                    "the left cosets of the given subgroup"
-                )
-            block_of[i] = b
-        if value:
-            reps.append(block[0])
-            right.append(value)
-    row = group.right_products(reps)
-    z = [0] * len(blocks)
-    for a, xa in enumerate(x.nums):
-        if xa:
-            for g, yb in zip(row(a), right):
-                z[block_of[g]] += xa * yb
-    out = [z[b] for b in block_of]
+            out[i] = total
     return CipherDist.from_numerators(group, out, x.den * y.den)
 
 

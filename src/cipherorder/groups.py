@@ -54,11 +54,13 @@ class GroupTable:
     this table's ordering, never to a subgroup's or a supergroup's.  Tables
     come from ``closure`` (the table of an explicit element set is
     ``closure(elements)``), ``symmetric_group``, ``cyclic_group`` and the
-    scenario specs.  Instances are immutable and safe to share across
-    threads.
+    scenario specs.  Instances are immutable in value and safe to share
+    across threads: ``left_cosets`` keeps each partition it builds in
+    ``_cosets``, keyed by the subgroup and left out of equality and hash,
+    and two threads racing on one partition at worst both compute it.
     """
 
-    __slots__ = ("degree", "words", "_index")
+    __slots__ = ("degree", "words", "_index", "_cosets")
 
     @classmethod
     def _from_words(cls, words: Sequence[tuple[int, ...]]) -> GroupTable:
@@ -68,6 +70,7 @@ class GroupTable:
         table.words = tuple(words)
         table.degree = len(table.words[0])
         table._index = {w: i for i, w in enumerate(table.words)}
+        table._cosets = {}
         return table
 
     @property
@@ -211,16 +214,21 @@ def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[
 
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Partition of ``parent`` into the left cosets g*K of the subgroup ``k``:
-    sorted blocks of parent indices, ordered by their minimal member."""
-    row = parent.right_products(k)
-    covered: set[int] = set()
-    blocks = []
-    for i in range(parent.order):
-        if i not in covered:
-            block = tuple(sorted(row(i)))
-            covered.update(block)
-            blocks.append(block)
-    return tuple(blocks)
+    sorted blocks of parent indices, ordered by their minimal member.  Built
+    once per table and subgroup, on first use."""
+    k = tuple(k)
+    blocks = parent._cosets.get(k)
+    if blocks is None:
+        row = parent.right_products(k)
+        covered: set[int] = set()
+        found = []
+        for i in range(parent.order):
+            if i not in covered:
+                block = tuple(sorted(row(i)))
+                covered.update(block)
+                found.append(block)
+        blocks = parent._cosets[k] = tuple(found)
+    return blocks
 
 
 def double_coset(

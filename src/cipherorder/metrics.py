@@ -59,8 +59,10 @@ def _plog2p(n: int, den: int) -> float:
 
 def _shannon(nums: Sequence[int], den: int) -> float:
     """Shannon entropy in bits of integer numerators over ``den``, with
-    0*log(0) = 0, summed in index order; a point mass gives +0.0."""
-    return 0.0 - sum(_plog2p(n, den) for n in nums if n)
+    0*log(0) = 0; the float terms are summed exactly (``math.fsum``), so a
+    uniform distribution on n elements gives log2(n) to within rounding of
+    its terms, and a point mass gives +0.0."""
+    return 0.0 - math.fsum(_plog2p(n, den) for n in nums if n)
 
 
 def shannon_entropy(x: Sequence) -> float:

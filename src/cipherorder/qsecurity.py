@@ -31,8 +31,6 @@ from .groups import GroupTable, check_points
 from .majorize import MajorizationVerdict, Relation, _verdict
 from .metrics import _guesswork, _variation
 
-_ZERO = Fraction(0)
-
 
 def distinct_tuples(m: int, q: int) -> list[tuple[int, ...]]:
     """All ordered q-tuples of distinct points of {0..m-1}, lexicographic."""
@@ -71,28 +69,24 @@ def _column_sums(profiles: Sequence[Sequence]) -> list:
 
 
 def conditional_guesswork_oracle(x: CipherDist, p: tuple[int, ...]) -> Fraction:
-    """Brute-force reference: group the elements by their word's image of p,
-    sort each group's posterior decreasingly, and sum the per-ciphertext
-    optimal guess counts weighted by the ciphertext probability.
+    """Brute-force reference: group the elements by their word's image of p
+    and sum, over the groups, i times the i-th largest numerator of each.
 
+    The probability of a ciphertext times the i-th largest posterior given it
+    is the i-th largest mass among the elements that give it, so this is the
+    optimal guess count per ciphertext weighted by its probability.
     Independent of the coset machinery; must agree exactly with the
     ``guesswork_left``/``guesswork_right`` of ``compare_q``'s rows.
     """
     check_points(p, x.group.degree)
-    by_image: dict[tuple[int, ...], list[Fraction]] = {}
-    for w, mass in zip(x.group.words, x.mass):
-        by_image.setdefault(tuple(w[a] for a in p), []).append(mass)
-    total = _ZERO
-    for masses in by_image.values():
-        prob = sum(masses, _ZERO)
-        if prob == 0:
-            continue
-        posterior = sorted((m / prob for m in masses), reverse=True)
-        expected = sum(
-            (Fraction(i) * v for i, v in enumerate(posterior, start=1)), _ZERO
-        )
-        total += prob * expected
-    return total
+    by_image: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for w, n in zip(x.group.words, x.nums):
+        by_image[tuple([w[a] for a in p])].append(n)
+    total = 0
+    for nums in by_image.values():
+        nums.sort(reverse=True)
+        total += sum(i * n for i, n in enumerate(nums, start=1))
+    return Fraction(total, x.den)
 
 
 class Direction(str, enum.Enum):

@@ -277,6 +277,24 @@ def project_oracle(
     return masses, tuple(sum(col, Fraction(0)) for col in zip(*profiles))
 
 
+def conditional_guesswork_posterior(x: CipherDist, p: tuple[int, ...]) -> Fraction:
+    """Conditional guesswork by its definition, in Fractions: for each image
+    of p with probability P > 0, the guesswork of the posterior (the masses
+    giving that image over P, sorted decreasingly), weighted by P."""
+    by_image: dict[tuple[int, ...], list[Fraction]] = {}
+    for w, mass in zip(x.group.words, x.mass):
+        by_image.setdefault(tuple(w[a] for a in p), []).append(mass)
+    total = Fraction(0)
+    for masses in by_image.values():
+        prob = sum(masses, Fraction(0))
+        if prob == 0:
+            continue
+        posterior = sorted((m / prob for m in masses), reverse=True)
+        expected = sum((i * v for i, v in enumerate(posterior, start=1)), Fraction(0))
+        total += prob * expected
+    return total
+
+
 def _direction_oracle(v: MajorizationVerdict) -> Direction:
     return {
         Relation.EQUAL_UP_TO_PERMUTATION: Direction.EQUAL,

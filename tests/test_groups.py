@@ -150,6 +150,18 @@ def test_left_cosets_of_trivial_subgroup():
     assert all(len(block) == 1 for block in blocks)
 
 
+def test_left_cosets_are_built_once_per_table_and_subgroup():
+    h = stabilizer(S4, (3,))
+    blocks = left_cosets(S4, h)
+    assert left_cosets(S4, h) is blocks
+    assert left_cosets(S4, list(h)) is blocks
+    # the cache is no part of the table's value
+    fresh = symmetric_group(4)
+    assert fresh == S4 and hash(fresh) == hash(S4)
+    assert left_cosets(fresh, h) == blocks
+    assert left_cosets(fresh, h) is not blocks
+
+
 def test_indices_of_rejects_a_table_outside_the_parent():
     c3 = closure([cycle(3, (0, 1, 2))])
     with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cipherorder.majorize import compare
 from cipherorder.metrics import (
+    ENTROPY_TOLERANCE,
     RENYI_EXACT_MAX_ORDER,
     _log2_int,
     _shannon,
@@ -60,8 +61,9 @@ def log2_fraction(f):
 
 
 def shannon_reference(masses):
-    """The Fraction evaluation the integer kernel must reproduce bit for bit."""
-    return -sum(float(f) * log2_fraction(f) for f in masses if f > 0)
+    """The Fraction evaluation the integer kernel must reproduce bit for bit:
+    the same float terms, summed exactly."""
+    return -math.fsum(float(f) * log2_fraction(f) for f in masses if f > 0)
 
 
 def renyi_reference(masses, order):
@@ -117,6 +119,13 @@ def test_shannon_kernel_reduces_each_term(nums, den):
     # in the last bit if a term's log2 is taken of the unreduced pair; the
     # second also passes 53 bits
     assert _shannon(nums, den) == shannon_reference([F(n, den) for n in nums])
+
+
+@pytest.mark.parametrize("n", [35_280, 40_320])
+def test_shannon_kernel_of_a_large_uniform_distribution_is_log2_n(n):
+    # 35,280 is the support of the S8 expansion's T; summed term by term in
+    # order, its entropy fell 1.3e-11 below log2(n)
+    assert abs(_shannon([1] * n, n) - math.log2(n)) <= ENTROPY_TOLERANCE
 
 
 def test_renyi_entropy_examples():

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cipherorder.dist import (
     CipherDist,
     convolve,
     deterministic,
+    translate,
     uniform_on,
 )
 from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
@@ -29,6 +32,7 @@ from cipherorder.qsecurity import (
 from helpers import (
     compare_q_oracle,
     compose,
+    conditional_guesswork_posterior,
     dist_over,
     inverse,
     project_oracle,
@@ -208,6 +212,18 @@ def test_oracle_equivalence_randomized():
                 for p, tc in rows_of(x, q).items():
                     assert tc.guesswork_left == conditional_guesswork_oracle(x, p)
                     assert tc.guesswork_right == tc.guesswork_left
+
+
+def test_conditional_guesswork_oracle_equals_the_posterior_definition():
+    rng = random.Random(41)
+    for group, q_max in ((S3, 3), (S4, 3), (S5, 2)):
+        for kind in KINDS:
+            x = _oracle_case(rng, group, kind)
+            for q in range(q_max + 1):
+                for p in distinct_tuples(group.degree, q):
+                    assert conditional_guesswork_oracle(
+                        x, p
+                    ) == conditional_guesswork_posterior(x, p)
 
 
 def test_conditional_guesswork_bounds():
@@ -490,3 +506,76 @@ def test_compare_q_swapped_sides_mirror_the_report():
         Relation.STRICTLY_ABOVE,
         Relation.INCOMPARABLE,
     } <= relations
+
+
+@st.composite
+def cipher_pairs(draw):
+    """A group among S3-S5, two ciphers of any ``KINDS`` on it and an element
+    index."""
+    group = draw(st.sampled_from([S3, S4, S5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x, y = (_oracle_case(rng, group, draw(st.sampled_from(KINDS))) for _ in range(2))
+    return x, y, draw(st.integers(0, group.order - 1))
+
+
+def q_max_of(x: CipherDist) -> int:
+    return min(x.group.degree, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cipher_pairs())
+def test_compare_q_unchanged_by_left_translating_one_side(case):
+    # the images of p under a*g are a's relabelling of those under g
+    x, y, a = case
+    base = compare_q(x, y, q_max_of(x))
+    assert compare_q(translate(a, x), y, q_max_of(x)) == base
+    assert compare_q(x, translate(a, y), q_max_of(x)) == base
+
+
+def rows_follow_right_translation(
+    base: ComparisonReport, moved: ComparisonReport, word: tuple[int, ...]
+) -> bool:
+    """Whether ``moved`` is ``base`` with the row at g(p) moved to p, where
+    ``word`` is g's, and the same level verdicts and extremal values."""
+    for old, new in zip(base.levels, moved.levels):
+        rows = {tc.points: tc for tc in old.tuples}
+        for tc in new.tuples:
+            if rows[tuple(word[i] for i in tc.points)]._replace(points=tc.points) != tc:
+                return False
+        if extremes(old) != extremes(new):
+            return False
+    return base.overall == moved.overall
+
+
+def extremes(level: LevelComparison) -> tuple:
+    return (
+        level.verdict,
+        level.max_advantage_left,
+        level.max_advantage_right,
+        level.min_guesswork_left,
+        level.min_guesswork_right,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(cipher_pairs())
+def test_compare_q_rows_move_under_right_translating_both_sides(case):
+    # the images of p under h*g are those of g(p) under h
+    x, y, g = case
+    point = deterministic(x.group, g)
+    base = compare_q(x, y, q_max_of(x))
+    moved = compare_q(convolve(x, point), convolve(y, point), q_max_of(x))
+    assert rows_follow_right_translation(base, moved, x.group.words[g])
+
+
+def test_right_translating_one_side_breaks_the_relation():
+    # negative control: the relation above is not met by any pair of reports
+    rng = random.Random(29)
+    broken = 0
+    for _ in range(10):
+        x, y = (_oracle_case(rng, S4, "subgroup") for _ in range(2))
+        g = rng.randrange(S4.order)
+        base = compare_q(x, y, 3)
+        moved = compare_q(convolve(x, deterministic(S4, g)), y, 3)
+        broken += not rows_follow_right_translation(base, moved, S4.words[g])
+    assert broken
