@@ -129,6 +129,14 @@ def _union(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
     return [i for block in blocks for i in block]
 
 
+def _threefold(x: CipherDist, y: int, h: tuple[int, ...]) -> tuple[CipherDist, ...]:
+    """(delta_y x, T = x delta_y x, D = x x) for an ``x`` constant on the
+    left cosets of ``h``; every right factor is then constant on them too."""
+    yx = convolve(deterministic(x.group, y), x, right_invariant=h)
+    t = convolve(x, yx, right_invariant=h)
+    return yx, t, convolve(x, x, right_invariant=h)
+
+
 def _default_q_max(group: GroupTable, q_max: int | None) -> int:
     return min(3, group.degree) if q_max is None else q_max
 
@@ -145,10 +153,7 @@ def run_expand(
     and is more secure than D by every metric."""
     q_max = _default_q_max(group, q_max)
     x = uniform_on(group, h)
-    y = deterministic(group, pi)
-    yx = convolve(y, x, right_invariant=h)
-    t = convolve(x, yx, right_invariant=h)
-    d = convolve(x, x, right_invariant=h)
+    _, t, d = _threefold(x, pi, h)
     rows = _Rows()
 
     if pi in h:
@@ -201,10 +206,7 @@ def run_collapse(
     pi_inv = group.inverse(pi)
     uniform_h = uniform_on(group, h)
     x = translate(pi, uniform_h)
-    y = deterministic(group, pi_inv)
-    yx = convolve(y, x, right_invariant=h)
-    t = convolve(x, yx, right_invariant=h)
-    d = convolve(x, x, right_invariant=h)
+    yx, t, d = _threefold(x, pi_inv, h)
     rows = _Rows()
 
     if pi in h:
@@ -226,10 +228,7 @@ def run_collapse(
     )
 
     # dropping the leading pi recovers the expansion experiment's pair
-    y_exp = deterministic(group, pi)
-    yx_exp = convolve(y_exp, uniform_h, right_invariant=h)
-    t_exp = convolve(uniform_h, yx_exp, right_invariant=h)
-    d_exp = convolve(uniform_h, uniform_h, right_invariant=h)
+    _, t_exp, d_exp = _threefold(uniform_h, pi, h)
     rows.exact("translated_T_equals_expand_D", True, translate(pi_inv, t) == d_exp)
     rows.exact("translated_D_equals_expand_T", True, translate(pi_inv, d) == t_exp)
 
@@ -299,9 +298,7 @@ def run_amplifier(n: int) -> ExperimentResult:
     h = stabilizer(group, (fixed_point,))
     pi = group.index(Permutation(tuple((i + 1) % space for i in range(space))))
     x = uniform_on(group, h)
-    pi_x = convolve(deterministic(group, pi), x, right_invariant=h)
-    t = convolve(x, pi_x, right_invariant=h)
-    d = convolve(x, x, right_invariant=h)
+    _, t, d = _threefold(x, pi, h)
     rows = _Rows()
 
     hpih = _union(double_coset(group, h, pi, h))

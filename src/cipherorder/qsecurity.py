@@ -26,7 +26,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .dist import CipherDist, _common_numerators
+from .dist import CipherDist, _common_numerators, _require_same_group
 from .groups import GroupTable, check_points
 from .majorize import MajorizationVerdict, Relation, _verdict
 from .metrics import _guesswork, _variation
@@ -226,14 +226,13 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     both; everything per tuple runs on ``int``s except the four metric
     values, which are built as ``Fraction``s.
     """
-    if left.group != right.group:
-        raise ValueError("ciphers live on different groups")
-    m = left.group.degree
+    group = _require_same_group(left, right)
+    m = group.degree
     if not 0 <= q_max <= m:
         raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
-    order = left.group.order
+    order = group.order
     left_nums, right_nums, den = _common_numerators(left, right)
-    columns = _image_columns(left.group)
+    columns = _image_columns(group)
     levels = []
     for q in range(q_max + 1):
         rows = tuple(

@@ -59,11 +59,23 @@ _STAB_RE = re.compile(r"stab\(\s*(\d+)\s*,\s*(\d+)\s*\)\Z")
 _GEN_RE = re.compile(r"gen\((.*)\)\Z", re.DOTALL)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a repeated key is a ValueError
+    rather than a silent win for its last value."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _json(text: str, where: str) -> Any:
-    """``text`` read as JSON; malformed or too deeply nested input, or an
-    integer past Python's digit limit, is a ``ScenarioError`` naming ``where``."""
+    """``text`` read as JSON; malformed or too deeply nested input, an
+    integer past Python's digit limit, or an object with a repeated key is a
+    ``ScenarioError`` naming ``where``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise ScenarioError(f"{where}: not valid JSON: {exc}") from None
     except RecursionError:

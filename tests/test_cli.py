@@ -739,6 +739,23 @@ def test_unreadable_json_exits_two(tmp_path, capsys, where, name, payload, messa
     assert captured.err.startswith(f"error: {name}: {message}")
 
 
+# json.loads keeps a repeated key's last value; a scenario refuses the key
+REPEATED_KEY = {
+    "cipher": ('"ciphers": {', '"ciphers": {"X": {"deterministic": [1, 0, 2]}, ', "X"),
+    "top-level": ('"q_max": 2}', '"q_max": 2, "q_max": 1}', "q_max"),
+}
+
+
+@pytest.mark.parametrize("old, new, key", REPEATED_KEY.values(), ids=REPEATED_KEY)
+def test_scenario_repeated_key_exits_two(tmp_path, capsys, old, new, key):
+    text = json.dumps(SCENARIO)
+    assert text.count(old) == 1
+    assert main(["compare", write(tmp_path, "dup.json", text.replace(old, new))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scenario: not valid JSON: duplicate key {key!r}\n"
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["expand", "--group", "sym(3)"]) == 2

@@ -172,6 +172,56 @@ def test_reports_invariant_under_relabelling():
                 assert emit_report([run(h_sigma, pi_sigma)], "csv") == report
 
 
+def test_collapse_directions_mirror_expand():
+    # collapse's D and T are pi * T_exp and pi * D_exp; relabelling the
+    # ciphertexts by pi leaves every compare_q row as it was
+    rng = random.Random(41)
+    seen = set()
+    for group in (S3, S4, symmetric_group(5)):
+        for _ in range(8):
+            h = random_subgroup(rng, group)
+            pi = rng.randrange(group.order)
+            expand = run_expand(group, h, pi)
+            collapse = run_collapse(group, h, pi)
+            assert collapse.degenerate == expand.degenerate
+            mirrored = [
+                row._replace(quantity=row.quantity.replace("T_vs_D", "D_vs_T"))
+                for row in expand.rows
+                if row.quantity.endswith("_direction_T_vs_D")
+            ]
+            directions = [row for row in collapse.rows if "_direction_" in row.quantity]
+            assert directions == mirrored
+            seen.update(row.actual for row in directions)
+    assert seen - {"equivalent"}
+
+
+def test_which_products_take_the_coset_quotient(monkeypatch):
+    # every product whose right factor is constant on the cosets of H says
+    # so, except general-collapse's X chain: declaring it too made a 25 s
+    # experiments-s6 benchmark run fit 4,004 jobs instead of 2,272 and raised
+    # its peak RSS from 22.9 to 26.5 MB (+15.7%, against a 20% bound)
+    import cipherorder.experiments as experiments
+
+    calls = []
+
+    def recording(x, y, *, right_invariant=None):
+        calls.append(right_invariant is not None)
+        return convolve(x, y, right_invariant=right_invariant)
+
+    monkeypatch.setattr(experiments, "convolve", recording)
+    h = stabilizer(S4, (3,))
+    runs = {
+        "expand": (lambda: run_expand(S4, h, T23), (3, 0)),
+        "collapse": (lambda: run_collapse(S4, h, T23), (6, 0)),
+        "general-collapse": (lambda: run_general_collapse(S4, h, T23, 3), (6, 3)),
+        "amplifier": (lambda: run_amplifier(1), (3, 0)),
+    }
+    for name, (run, counts) in runs.items():
+        calls.clear()
+        assert run().passed, name
+        assert (calls.count(True), calls.count(False)) == counts, name
+
+
 class TestAmplifier:
     def test_n1(self):
         result = run_amplifier(1)
