@@ -10,10 +10,15 @@ Runs ``cipherorder.cli.main`` in-process on:
 * the benchmark's experiments-s6 job shapes (``expand``/``collapse`` at
   ``--q-max 1``, ``general-collapse --rounds 2``, ``amplifier --n 2``) on
   three sym(6) setups with H = stab(6, t) and pi moving t;
-* ``compare --per-tuple --csv`` on two random sym(4) scenarios.
+* ``compare --per-tuple --csv`` on two random sym(4) scenarios;
+* ``majorize --witness`` on probability vectors x majorized by y for
+  n = 2..24, with a random denominator per entry, shuffled coordinates and,
+  at every odd n, one or two zeros appended to one side; then one reversed
+  pair and one incomparable pair, which print no witness.
 
-Each call prints one line: a SHA-256 over its stdout, its CSV and its exit
-code, then its argv (temporary paths shown as ``<tmp>``).  The last line
+Each call prints one line: a SHA-256 over its stdout, its CSV (none for
+``majorize``) and its exit code, then its argv (temporary paths shown as
+``<tmp>``).  The last line
 hashes all of them.  Two checkouts give the same lines iff every call's
 output bytes agree, e.g.::
 
@@ -29,6 +34,8 @@ import json
 import random
 import shlex
 import tempfile
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from cipherorder.cli import main as cli_main
@@ -100,17 +107,72 @@ def _scenario(rng: random.Random) -> dict:
     }
 
 
+def _prob_vector(rng: random.Random, n: int) -> list[Fraction]:
+    dens = [rng.choice([1, 2, 3, 4, 5, 7, 9, 11, 16, 25, 27, 49]) for _ in range(n)]
+    xs = [Fraction(rng.randint(0, 2 * d), d) for d in dens]
+    if not any(xs):
+        xs[0] = Fraction(1)
+    return [v / sum(xs) for v in xs]
+
+
+def _majorized_pair(rng: random.Random, n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(x, y) with x = y after n random T-transforms, so x is majorized by y."""
+    y = _prob_vector(rng, n)
+    x = list(y)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        lam = Fraction(rng.randint(0, 12), 12)
+        x[i], x[j] = lam * x[i] + (1 - lam) * x[j], (1 - lam) * x[i] + lam * x[j]
+    return x, y
+
+
+def _incomparable(x: list[Fraction], y: list[Fraction]) -> bool:
+    """Some prefix sum of sorted x lies above y's and another below."""
+    px, py = (accumulate(sorted(v, reverse=True)) for v in (x, y))
+    gaps = [a - b for a, b in zip(px, py)]
+    return min(gaps) < 0 < max(gaps)
+
+
+def _majorize_pairs(rng: random.Random) -> list[tuple[list[Fraction], list[Fraction]]]:
+    pairs = []
+    for n in range(2, 25):
+        x, y = _majorized_pair(rng, n)
+        if n % 2:
+            (x if rng.random() < 0.5 else y).extend([Fraction(0)] * rng.randint(1, 2))
+        pairs.append((x, y))
+    x, y = _majorized_pair(rng, 18)
+    pairs.append((y, x))
+    while True:
+        x, y = _prob_vector(rng, 18), _prob_vector(rng, 18)
+        if _incomparable(x, y):
+            break
+    pairs.append((x, y))
+    return [(rng.sample(x, len(x)), rng.sample(y, len(y))) for x, y in pairs]
+
+
+def _majorize_calls(rng: random.Random, tmp: Path) -> list[list[str]]:
+    calls = []
+    for i, pair in enumerate(_majorize_pairs(rng)):
+        paths = [tmp / f"majorize-{i}-{side}.vec" for side in "xy"]
+        for path, vec in zip(paths, pair):
+            path.write_text(" ".join(map(str, vec)) + "\n")
+        calls.append(["majorize", *map(str, paths), "--witness"])
+    return calls
+
+
 def _fingerprint(argv: list[str], tmp: Path) -> str:
     csv_path = tmp / "out.csv"
     csv_path.unlink(missing_ok=True)
+    # majorize writes no CSV and takes no --csv
+    csv_args = [] if argv[0] == "majorize" else ["--csv", str(csv_path)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main([*argv, "--csv", str(csv_path)])
+        code = cli_main([*argv, *csv_args])
     digest = hashlib.sha256(stdout.getvalue().encode())
     digest.update(b"\0csv\0" + (csv_path.read_bytes() if csv_path.exists() else b""))
     digest.update(f"\0exit {code}".encode())
     shown = shlex.join(argv).replace(str(tmp), "<tmp>")
-    return f"{digest.hexdigest()}  {shown} --csv <csv>"
+    return f"{digest.hexdigest()}  {shown}" + (" --csv <csv>" if csv_args else "")
 
 
 def main() -> int:
@@ -122,6 +184,7 @@ def main() -> int:
             path = tmp / f"scenario-{k}.json"
             path.write_text(json.dumps(_scenario(rng)))
             calls.append(["compare", str(path), "--per-tuple"])
+        calls += _majorize_calls(rng, tmp)
         lines = [_fingerprint(argv, tmp) for argv in calls]
     for line in lines:
         print(line)

@@ -39,7 +39,7 @@ from .groups import (
 from .majorize import MajorizationVerdict, Relation, _verdict
 from .metrics import ENTROPY_TOLERANCE, _guesswork, _shannon
 from .perms import Permutation
-from .qsecurity import Direction, compare_q
+from .qsecurity import Direction, _check_q_max, compare_q
 
 
 class CheckRow(NamedTuple):
@@ -138,7 +138,10 @@ def _threefold(x: CipherDist, y: int, h: tuple[int, ...]) -> tuple[CipherDist, .
 
 
 def _default_q_max(group: GroupTable, q_max: int | None) -> int:
-    return min(3, group.degree) if q_max is None else q_max
+    if q_max is None:
+        return min(3, group.degree)
+    _check_q_max(group, q_max)  # also where pi in H returns before comparing
+    return q_max
 
 
 def run_expand(

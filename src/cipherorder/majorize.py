@@ -4,14 +4,14 @@
 once (``_numerators``) to integer numerators over the lcm of all entry
 denominators and run on those.  ``compare`` decides x <= y (majorization)
 exactly via prefix sums of the decreasing rearrangements.  ``hlp_witness``
-makes the Hardy-Littlewood-Polya direction constructive: an explicit
-doubly-stochastic matrix D with D y = x, built from at most n-1
-T-transforms.  ``birkhoff_decompose`` writes any doubly-stochastic matrix as
-a convex sum of permutation matrices by greedy bottleneck extraction, with
-the matching and the subtraction on numerators; every step lowers the
-dimension of the smallest face of the Birkhoff polytope holding the
-remainder, so there are at most (n-1)^2 + 1 terms (Marshall-Olkin-Arnold,
-ch. 2).
+makes the Hardy-Littlewood-Polya direction constructive: a doubly-stochastic
+D with D y = x, built on integer rows from at most n-1 T-transforms and
+split by the Birkhoff kernel on those rows; only the returned matrix and
+the term weights are ``Fraction``s.  ``birkhoff_decompose`` validates any
+doubly-stochastic matrix and runs that kernel: greedy bottleneck extraction
+of permutation matrices, each step lowering the dimension of the smallest
+face of the Birkhoff polytope holding the remainder, so there are at most
+(n-1)^2 + 1 terms (Marshall-Olkin-Arnold, ch. 2).
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from numbers import Rational
 from typing import NamedTuple, Sequence
 
 from .perms import Permutation
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -143,27 +140,26 @@ def _argsort_desc(v: Sequence[int]) -> list[int]:
     return sorted(range(len(v)), key=lambda i: (-v[i], i))
 
 
-def _ttransform_chain(x: list[int], y: list[int]) -> list[tuple[int, int, Fraction]]:
-    """T-transforms (j, k, lambda) carrying sorted y onto sorted x, both
-    integer numerators over one denominator.
+def _ttransform_chain(x: list[int], y: list[int]) -> list[tuple[int, int, int, int]]:
+    """T-transforms (j, k, delta, spread) carrying sorted y onto sorted x,
+    both integer numerators over one denominator.
 
-    Each step replaces (y_j, y_k) by (lam*y_j + (1-lam)*y_k, ...), i.e.
-    moves delta = (1-lam)(y_j - y_k) of mass from position j to position k.
-    It closes the largest surplus y_j - x_j first (ties broken by lowest
-    index) against the first subsequent deficit; that choice keeps every
-    intermediate raw prefix sum of y at or above x's, so majorization is
-    preserved, and each step matches at least one more coordinate: at most
-    n-1 steps.
+    Each step moves delta of mass from position j to position k, where
+    spread = y_j - y_k > 0: it replaces (y_j, y_k) by (lam*y_j + (1-lam)*y_k,
+    ...) with lam = (spread - delta) / spread.  It closes the largest surplus
+    y_j - x_j first (ties broken by lowest index) against the first
+    subsequent deficit; that choice keeps every intermediate raw prefix sum
+    of y at or above x's, so majorization is preserved, and each step
+    matches at least one more coordinate: at most n-1 steps.
     """
     y = list(y)
-    steps: list[tuple[int, int, Fraction]] = []
+    steps: list[tuple[int, int, int, int]] = []
     while y != x:
         gaps = [b - a for a, b in zip(x, y)]
         j = max(range(len(y)), key=lambda i: (gaps[i], -i))
         k = next(i for i in range(j + 1, len(y)) if gaps[i] < 0)
         delta = min(gaps[j], -gaps[k])
-        spread = y[j] - y[k]
-        steps.append((j, k, Fraction(spread - delta, spread)))
+        steps.append((j, k, delta, y[j] - y[k]))
         y[j] -= delta
         y[k] += delta
     return steps
@@ -190,18 +186,22 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
 
     # sorted row r is original row order_x[r] and sorted column c original
     # column order_y[c]: start from the permutation matrix pairing them and
-    # apply each T-transform of the sorted chain to the two original rows
+    # apply each T-transform of the sorted chain to the two original rows.
+    # Over the product of all spreads every division below is exact: before
+    # each step every entry is a multiple of the spreads still to come.
     n = len(xs)
-    matrix = [[_ZERO] * n for _ in range(n)]
+    steps = _ttransform_chain(x_sorted, y_sorted)
+    den = math.prod(spread for *_, spread in steps)
+    rows = [[0] * n for _ in range(n)]
     for r in range(n):
-        matrix[order_x[r]][order_y[r]] = _ONE
-    for j, k, lam in _ttransform_chain(x_sorted, y_sorted):
-        j, k = order_x[j], order_x[k]
-        row_j, row_k = matrix[j], matrix[k]
-        matrix[j] = [lam * a + (_ONE - lam) * b for a, b in zip(row_j, row_k)]
-        matrix[k] = [(_ONE - lam) * a + lam * b for a, b in zip(row_j, row_k)]
-    frozen: Matrix = tuple(tuple(row) for row in matrix)
-    return DoublyStochasticWitness(frozen, tuple(birkhoff_decompose(frozen)))
+        rows[order_x[r]][order_y[r]] = den
+    for j, k, delta, spread in steps:
+        j, k, keep = order_x[j], order_x[k], spread - delta
+        pairs = list(zip(rows[j], rows[k]))
+        rows[j] = [(keep * a + delta * b) // spread for a, b in pairs]
+        rows[k] = [(delta * a + keep * b) // spread for a, b in pairs]
+    matrix = tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+    return DoublyStochasticWitness(matrix, tuple(_birkhoff_terms(rows, den)))
 
 
 def _doubly_stochastic_numerators(matrix: Matrix) -> tuple[list[list[int]], int]:
@@ -300,7 +300,12 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
     most dim B_n = (n-1)^2, and a 0-dimensional face is one permutation
     matrix, extracted in one last step.
     """
-    rows, den = _doubly_stochastic_numerators(matrix)
+    return _birkhoff_terms(*_doubly_stochastic_numerators(matrix))
+
+
+def _birkhoff_terms(rows: list[list[int]], den: int) -> list[tuple[Fraction, Permutation]]:
+    """``birkhoff_decompose`` on a doubly-stochastic matrix's integer
+    numerators over ``den``, which it consumes."""
     n = len(rows)
     remaining = den
     terms: list[tuple[Fraction, Permutation]] = []

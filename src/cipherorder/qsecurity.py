@@ -207,6 +207,12 @@ def _compare_at_tuple(
     )
 
 
+def _check_q_max(group: GroupTable, q_max: int) -> None:
+    """ValueError unless 0 <= q_max <= m, the message count of ``group``."""
+    if not 0 <= q_max <= group.degree:
+        raise ValueError(f"q_max {q_max} is outside 0..{group.degree} (the message count)")
+
+
 def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonReport:
     """Compare two ciphers on the same group at every q from 0 to q_max.
 
@@ -228,8 +234,7 @@ def compare_q(left: CipherDist, right: CipherDist, q_max: int) -> ComparisonRepo
     """
     group = _require_same_group(left, right)
     m = group.degree
-    if not 0 <= q_max <= m:
-        raise ValueError(f"q_max {q_max} is outside 0..{m} (the message count)")
+    _check_q_max(group, q_max)
     order = group.order
     left_nums, right_nums, den = _common_numerators(left, right)
     columns = _image_columns(group)

@@ -397,6 +397,37 @@ def apply_matrix(matrix, v) -> tuple[Fraction, ...]:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
 
 
+def hlp_witness_matrix_oracle(x, y) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix ``hlp_witness`` builds, in ``Fraction`` arithmetic: both
+    vectors zero-padded and sorted decreasingly (ties by index), then each
+    T-transform of the sorted chain (close the largest surplus y_j - x_j,
+    lowest j on ties, against the first later deficit) applied to two rows
+    of the permutation matrix pairing the sorted positions.  Expects x
+    majorized by y."""
+    n = max(len(x), len(y))
+    xs = [Fraction(v) for v in x] + [Fraction(0)] * (n - len(x))
+    ys = [Fraction(v) for v in y] + [Fraction(0)] * (n - len(y))
+    order_x = sorted(range(n), key=lambda i: (-xs[i], i))
+    order_y = sorted(range(n), key=lambda i: (-ys[i], i))
+    xs = [xs[i] for i in order_x]
+    ys = [ys[i] for i in order_y]
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n):
+        matrix[order_x[r]][order_y[r]] = Fraction(1)
+    while ys != xs:
+        gaps = [b - a for a, b in zip(xs, ys)]
+        j = max(range(n), key=lambda i: (gaps[i], -i))
+        k = next(i for i in range(j + 1, n) if gaps[i] < 0)
+        delta = min(gaps[j], -gaps[k])
+        lam = 1 - delta / (ys[j] - ys[k])
+        ys[j] -= delta
+        ys[k] += delta
+        row_j, row_k = matrix[order_x[j]], matrix[order_x[k]]
+        matrix[order_x[j]] = [lam * a + (1 - lam) * b for a, b in zip(row_j, row_k)]
+        matrix[order_x[k]] = [(1 - lam) * a + lam * b for a, b in zip(row_j, row_k)]
+    return tuple(tuple(row) for row in matrix)
+
+
 def permutation_matrix(p: Permutation) -> tuple[tuple[Fraction, ...], ...]:
     """The 0/1 matrix with a one at (i, p(i)) in each row i."""
     n = p.degree

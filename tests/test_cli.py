@@ -437,6 +437,18 @@ def test_negative_q_max_exits_two(scenario_file, capsys):
     assert "q_max -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q_max", ["4", "-1"])
+@pytest.mark.parametrize("pi", ["[1,0,2]", "[1,2,0]"], ids=["pi-in-H", "pi-not-in-H"])
+@pytest.mark.parametrize("command", ["expand", "collapse"])
+def test_experiment_q_max_out_of_range_exits_two(capsys, command, pi, q_max):
+    # H = stab(3, 2) holds [1,0,2]: the degenerate report returns before
+    # comparing anything, and must still refuse the q_max
+    setup = ["--group", "sym(3)", "--subgroup", "stab(3,2)", "--pi", pi]
+    assert main([command, *setup, "--q-max", q_max]) == 2
+    err = capsys.readouterr().err
+    assert f"q_max {q_max} is outside 0..3 (the message count)" in err
+
+
 def test_expand_subcommand(capsys, tmp_path):
     csv_path = tmp_path / "expand.csv"
     code = main(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cipherorder.dist import convolve, deterministic, translate, uniform_on
+from cipherorder.dist import convolve
 from cipherorder.experiments import (
     emit_report,
     run_amplifier,
@@ -96,17 +96,6 @@ class TestCollapse:
         assert rows["inner_convolution_uniform_on_H"].passed
         assert rows["translated_T_equals_expand_D"].passed
         assert rows["translated_D_equals_expand_T"].passed
-
-    def test_mirror_of_expand(self):
-        collapse_t = translate(
-            PI, uniform_on(S3, H01)
-        )  # supp(T) = pi H
-        result = run_collapse(S3, H01, PI)
-        assert result.passed
-        x = uniform_on(S3, H01)
-        y = deterministic(S3, S3.inverse(PI))
-        xc = translate(PI, x)
-        assert convolve(xc, convolve(y, xc)) == collapse_t
 
     def test_degenerate(self):
         result = run_collapse(S3, H01, T01)

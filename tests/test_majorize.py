@@ -29,6 +29,7 @@ from helpers import (
     apply_matrix,
     birkhoff_decompose_oracle,
     compare_oracle,
+    hlp_witness_matrix_oracle,
     identity,
     majorized_pair,
     mixed_denominator_vector,
@@ -320,13 +321,24 @@ def test_birkhoff_equals_fraction_oracle_on_mixed_denominators():
 
 
 def test_witness_decomposition_equals_fraction_oracle():
+    # the integer matrix and its terms against both Fraction constructions,
+    # on shuffled, zero-padded pairs with shared or mixed denominators
     rng = random.Random(1212)
-    for _ in range(40):
-        n = rng.randint(2, 12)
-        x, y = majorized_pair(rng, n, transforms=rng.randint(1, n))
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        if n > 1 and rng.random() < 0.5:
+            x, y = majorized_pair(rng, n, transforms=rng.randint(1, n))
+        else:
+            y = mixed_denominator_vector(rng, n)
+            x = list(y)
+            for _ in range(rng.randint(0, n) if n > 1 else 0):
+                x = t_transform(rng, x)
         rng.shuffle(x)
         rng.shuffle(y)
+        x += [F(0)] * rng.randint(0, 2)
+        y += [F(0)] * rng.randint(0, 2)
         witness = hlp_witness(x, y)
+        assert witness.matrix == hlp_witness_matrix_oracle(x, y)
         assert list(witness.decomposition) == birkhoff_decompose_oracle(witness.matrix)
 
 
