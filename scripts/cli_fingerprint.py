@@ -14,13 +14,16 @@ Runs ``cipherorder.cli.main`` in-process on:
 * ``majorize --witness`` on probability vectors x majorized by y for
   n = 2..24, with a random denominator per entry, shuffled coordinates and,
   at every odd n, one or two zeros appended to one side; then one reversed
-  pair and one incomparable pair, which print no witness.
+  pair and one incomparable pair, which print no witness;
+* ``metrics`` on four random probability vectors: plain, with ``--alpha``,
+  with an integer and with a non-integer ``--renyi``;
+* ``convolve`` of each product of the two ``compare`` scenarios.
 
 Each call prints one line: a SHA-256 over its stdout, its CSV (none for
-``majorize``) and its exit code, then its argv (temporary paths shown as
-``<tmp>``).  The last line
-hashes all of them.  Two checkouts give the same lines iff every call's
-output bytes agree, e.g.::
+``majorize``, ``metrics`` and ``convolve``) and its exit code, then its argv
+(temporary paths shown as ``<tmp>``).  The last line hashes all of them.
+Two checkouts give the same lines iff every call's output bytes agree,
+e.g.::
 
     PYTHONPATH=src python3 scripts/cli_fingerprint.py > new.txt
     PYTHONPATH=../parent/src python3 scripts/cli_fingerprint.py > old.txt
@@ -160,11 +163,27 @@ def _majorize_calls(rng: random.Random, tmp: Path) -> list[list[str]]:
     return calls
 
 
+def _metrics_calls(rng: random.Random, tmp: Path) -> list[list[str]]:
+    options = [
+        [],
+        ["--alpha", f"{rng.randint(1, 11)}/12"],
+        ["--renyi", str(rng.choice([2, 3, 5, 40]))],
+        ["--renyi", rng.choice(["1/2", "3/2", "5/2", "0.75"])],
+    ]
+    calls = []
+    for i, flags in enumerate(options):
+        path = tmp / f"metrics-{i}.vec"
+        path.write_text(" ".join(map(str, _prob_vector(rng, rng.randint(2, 24)))) + "\n")
+        calls.append(["metrics", str(path), *flags])
+    return calls
+
+
 def _fingerprint(argv: list[str], tmp: Path) -> str:
     csv_path = tmp / "out.csv"
     csv_path.unlink(missing_ok=True)
-    # majorize writes no CSV and takes no --csv
-    csv_args = [] if argv[0] == "majorize" else ["--csv", str(csv_path)]
+    # these write no CSV and take no --csv
+    no_csv = argv[0] in ("majorize", "metrics", "convolve")
+    csv_args = [] if no_csv else ["--csv", str(csv_path)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main([*argv, *csv_args])
@@ -180,11 +199,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         calls = _small_setups(rng) + _s6_setups(rng)
+        scenarios = []
         for k in range(2):
             path = tmp / f"scenario-{k}.json"
-            path.write_text(json.dumps(_scenario(rng)))
+            scenario = _scenario(rng)
+            path.write_text(json.dumps(scenario))
             calls.append(["compare", str(path), "--per-tuple"])
+            scenarios.append((path, scenario))
         calls += _majorize_calls(rng, tmp)
+        calls += _metrics_calls(rng, tmp)
+        for path, scenario in scenarios:
+            calls += [["convolve", str(path), name] for name in scenario["products"]]
         lines = [_fingerprint(argv, tmp) for argv in calls]
     for line in lines:
         print(line)

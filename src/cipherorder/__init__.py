@@ -31,7 +31,6 @@ from .majorize import (
     DoublyStochasticWitness,
     MajorizationVerdict,
     Relation,
-    birkhoff_decompose,
     compare,
     hlp_witness,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioError",
     "TripleDecomposition",
     "alpha_guesswork",
-    "birkhoff_decompose",
     "closure",
     "compare",
     "compare_q",

@@ -1,17 +1,15 @@
 """The majorization preorder on nonnegative rational vectors, with witnesses.
 
-``compare``, ``hlp_witness`` and ``birkhoff_decompose`` convert their input
-once (``_numerators``) to integer numerators over the lcm of all entry
-denominators and run on those.  ``compare`` decides x <= y (majorization)
-exactly via prefix sums of the decreasing rearrangements.  ``hlp_witness``
-makes the Hardy-Littlewood-Polya direction constructive: a doubly-stochastic
-D with D y = x, built on integer rows from at most n-1 T-transforms and
-split by the Birkhoff kernel on those rows; only the returned matrix and
-the term weights are ``Fraction``s.  ``birkhoff_decompose`` validates any
-doubly-stochastic matrix and runs that kernel: greedy bottleneck extraction
-of permutation matrices, each step lowering the dimension of the smallest
-face of the Birkhoff polytope holding the remainder, so there are at most
-(n-1)^2 + 1 terms (Marshall-Olkin-Arnold, ch. 2).
+``compare`` and ``hlp_witness`` convert their input once (``_numerators``)
+to integer numerators over the lcm of all entry denominators and run on
+those.  ``compare`` decides x <= y (majorization) exactly via prefix sums of
+the decreasing rearrangements.  ``hlp_witness`` makes the
+Hardy-Littlewood-Polya direction constructive: a doubly-stochastic D with
+D y = x, built on integer rows from at most n-1 T-transforms.  It is the
+entry to the integer Birkhoff kernel, which splits those rows into at most
+(n-1)^2 + 1 permutation matrices by greedy bottleneck extraction
+(Marshall-Olkin-Arnold, ch. 2); only the returned matrix and the term
+weights are ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -204,28 +202,6 @@ def hlp_witness(x: Sequence, y: Sequence) -> DoublyStochasticWitness:
     return DoublyStochasticWitness(matrix, tuple(_birkhoff_terms(rows, den)))
 
 
-def _doubly_stochastic_numerators(matrix: Matrix) -> tuple[list[list[int]], int]:
-    """``_numerators`` of a doubly-stochastic matrix's rows: ValueError
-    unless it is nonempty, square, nonnegative and every row and column sums
-    to 1 (to the common denominator)."""
-    n = len(matrix)
-    # before the conversion, which would zero-pad short rows
-    if n == 0:
-        raise ValueError("matrix must have at least one row")
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    rows, den = _numerators(*matrix)
-    for row in rows:
-        if any(e < 0 for e in row):
-            raise ValueError("matrix entries must be nonnegative")
-        if sum(row) != den:
-            raise ValueError(f"row sums to {Fraction(sum(row), den)}, not 1")
-    for j, col in enumerate(zip(*rows)):
-        if sum(col) != den:
-            raise ValueError(f"column {j} sums to {Fraction(sum(col), den)}, not 1")
-    return rows, den
-
-
 def _try_augment(
     root: int,
     adj: list[list[int]],
@@ -283,12 +259,12 @@ def _bottleneck_matching(rows: list[list[int]], n: int) -> list[int]:
     raise ValueError("matrix support admits no perfect matching")
 
 
-def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
-    """Write a doubly-stochastic matrix as a convex sum of permutations.
+def _birkhoff_terms(rows: list[list[int]], den: int) -> list[tuple[Fraction, Permutation]]:
+    """A doubly-stochastic matrix, given as rows of integer numerators over
+    ``den``, as a convex sum of permutations; the rows are consumed.
 
     Greedy extraction along a maximum-bottleneck perfect matching (columns
-    tried smallest index first), on the entries' integer numerators over
-    the lcm of their denominators; only the weights are ``Fraction``s.  The
+    tried smallest index first); only the weights are ``Fraction``s.  The
     weighted sum of permutation matrices reproduces the input exactly.
 
     There are at most (n-1)^2 + 1 terms.  The smallest face of the Birkhoff
@@ -300,12 +276,6 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, Permutation]]:
     most dim B_n = (n-1)^2, and a 0-dimensional face is one permutation
     matrix, extracted in one last step.
     """
-    return _birkhoff_terms(*_doubly_stochastic_numerators(matrix))
-
-
-def _birkhoff_terms(rows: list[list[int]], den: int) -> list[tuple[Fraction, Permutation]]:
-    """``birkhoff_decompose`` on a doubly-stochastic matrix's integer
-    numerators over ``den``, which it consumes."""
     n = len(rows)
     remaining = den
     terms: list[tuple[Fraction, Permutation]] = []

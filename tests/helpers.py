@@ -14,7 +14,12 @@ from cipherorder import (
     stabilizer,
     uniform_on,
 )
-from cipherorder.majorize import MajorizationVerdict, Relation
+from cipherorder.majorize import (
+    MajorizationVerdict,
+    Relation,
+    _birkhoff_terms,
+    _numerators,
+)
 from cipherorder.perms import Permutation
 from cipherorder.qsecurity import (
     ComparisonReport,
@@ -458,6 +463,12 @@ def perfect_matching_oracle(adj: list[list[int]], n: int) -> list[int] | None:
     for col, row in enumerate(match_col):
         assignment[row] = col
     return assignment
+
+
+def birkhoff_terms(matrix) -> list[tuple[Fraction, Permutation]]:
+    """The integer Birkhoff kernel run on a doubly-stochastic matrix, which
+    it expects: its rows as numerators over their common denominator."""
+    return _birkhoff_terms(*_numerators(*matrix))
 
 
 def birkhoff_decompose_oracle(matrix) -> list[tuple[Fraction, Permutation]]:

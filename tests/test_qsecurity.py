@@ -12,7 +12,13 @@ from cipherorder.dist import (
     translate,
     uniform_on,
 )
-from cipherorder.groups import closure, left_cosets, stabilizer, symmetric_group
+from cipherorder.groups import (
+    closure,
+    cyclic_group,
+    left_cosets,
+    stabilizer,
+    symmetric_group,
+)
 from cipherorder.majorize import MajorizationVerdict, Relation, compare
 from cipherorder.metrics import guesswork
 from cipherorder.perms import Permutation, transposition
@@ -46,6 +52,7 @@ F = Fraction
 S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 S5 = symmetric_group(5)
+C6 = cyclic_group(6)
 H01 = S3.indices_of(closure([transposition(3, 0, 1)]))
 PI = S3.index(transposition(3, 1, 2))
 
@@ -579,3 +586,16 @@ def test_right_translating_one_side_breaks_the_relation():
         moved = compare_q(convolve(x, deterministic(S4, g)), y, 3)
         broken += not rows_follow_right_translation(base, moved, S4.words[g])
     assert broken
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([S3, S4, S5, C6]), st.integers(0, 2**32))
+def test_compare_q_row_depends_only_on_the_point_set(group, seed):
+    # g(p) = h(p) iff h^-1 g fixes every point of p, which depends only on
+    # the set of p's points: every ordering of p gives the same image blocks
+    rng = random.Random(seed)
+    left, right = random_dist(rng, group), random_dist(rng, group)
+    for level in compare_q(left, right, min(group.degree, 3)).levels:
+        rows = {tc.points: tc for tc in level.tuples}
+        for tc in level.tuples:
+            assert rows[tuple(sorted(tc.points))]._replace(points=tc.points) == tc
