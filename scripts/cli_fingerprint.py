@@ -17,7 +17,14 @@ Runs ``cipherorder.cli.main`` in-process on:
   pair and one incomparable pair, which print no witness;
 * ``metrics`` on four random probability vectors: plain, with ``--alpha``,
   with an integer and with a non-integer ``--renyi``;
-* ``convolve`` of each product of the two ``compare`` scenarios.
+* ``convolve`` of each product of the two ``compare`` scenarios;
+* the experiments-s6 job shapes but ``amplifier`` on sym(7), once with
+  H = stab(7, t) and once with H generated by two random permutations that
+  fix t and one more point, and pi moving t, where the coset quotient's
+  partitions are largest.
+
+The sym(7) calls come last, so every earlier call and random draw is the
+same as in the script before they were added.
 
 Each call prints one line: a SHA-256 over its stdout, its CSV (none for
 ``majorize``, ``metrics`` and ``convolve``) and its exit code, then its argv
@@ -91,6 +98,31 @@ def _s6_setups(rng: random.Random) -> list[list[str]]:
         calls.append(["collapse", *setup, "--q-max", "1"])
         calls.append(["general-collapse", *setup, "--rounds", "2"])
     calls.append(["amplifier", "--n", "2"])
+    return calls
+
+
+def _s7_setups(rng: random.Random) -> list[list[str]]:
+    calls = []
+    for kind in ("stab", "gen"):
+        t = rng.randrange(7)
+        subgroup = f"stab(7, {t})"
+        if kind == "gen":
+            u = (t + 1 + rng.randrange(6)) % 7
+            moved = [p for p in range(7) if p not in (t, u)]
+            gens = []
+            for _ in range(2):
+                word = list(range(7))
+                for p, image in zip(moved, rng.sample(moved, 5)):
+                    word[p] = image
+                gens.append(word)
+            subgroup = f"gen({json.dumps(gens)})"
+        pi = _perm(rng, 7)
+        while pi[t] == t:
+            pi = _perm(rng, 7)
+        setup = ["--group", "sym(7)", "--subgroup", subgroup, "--pi", json.dumps(pi)]
+        calls.append(["expand", *setup, "--q-max", "1"])
+        calls.append(["collapse", *setup, "--q-max", "1"])
+        calls.append(["general-collapse", *setup, "--rounds", "2"])
     return calls
 
 
@@ -210,6 +242,7 @@ def main() -> int:
         calls += _metrics_calls(rng, tmp)
         for path, scenario in scenarios:
             calls += [["convolve", str(path), name] for name in scenario["products"]]
+        calls += _s7_setups(rng)
         lines = [_fingerprint(argv, tmp) for argv in calls]
     for line in lines:
         print(line)

@@ -10,27 +10,19 @@ view of the masses for the API.  As in ``groups``, an element is an index
 of the group (an ``int``; a ``bool`` or a float is a TypeError) and a
 subgroup a sorted tuple of them.
 
-``convolve`` is one loop over supp x and a list of representatives of the
-right factor.  Plainly they are supp y.  With ``right_invariant=k``, y is
-constant on each coset g*K, so is x*y, and the product is the same loop
-over one representative per coset where y is nonzero, followed by a sum
-over each coset: |supp x| * |G/K| products instead of |supp x| * |supp y|
-(a function on G constant on the cosets is a function on G/K).  That y is
-constant on each block of ``left_cosets(G, k)`` is checked, in O(|G|), and
-a ValueError names ``right_invariant`` otherwise, so a wrong K never gives
-a wrong product; that ``k`` is a subgroup is trusted, as in
-``left_cosets``, which builds each partition once per table.  The
-experiments pass their H, whose uniform distribution, cosets and products
-ending in either are all constant on the cosets of H.
+``convolve`` alone decides when a product takes the coset quotient: when
+its right factor is uniform on a left coset of a subgroup, which
+``groups.left_cosets`` verifies.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import GroupTable, double_coset, left_cosets
+from .groups import GroupTable, _partition_with_block, double_coset
 from .majorize import _numerators
 from .perms import _Frozen
 
@@ -111,7 +103,7 @@ class CipherDist(_Frozen):
         return self._mass
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, n in enumerate(self.nums) if n)
+        return tuple(compress(range(len(self.nums)), self.nums))
 
     def support_size(self) -> int:
         return len(self.nums) - self.nums.count(0)
@@ -155,36 +147,28 @@ def _require_same_group(x: CipherDist, y: CipherDist) -> GroupTable:
     return x.group
 
 
-def convolve(
-    x: CipherDist, y: CipherDist, *, right_invariant: tuple[int, ...] | None = None
-) -> CipherDist:
+def convolve(x: CipherDist, y: CipherDist) -> CipherDist:
     """Distribution of the product cipher XY: z(g) = sum_{a*b=g} x(a) y(b).
 
     Sparse double loop over supp(x) and the right factor's representatives,
     adding the numerator product at the index of a*b over the denominator
     product; no inverses are needed.  The representatives are supp(y).
 
-    ``right_invariant=k`` declares ``y`` constant on the left cosets g*K of
-    the subgroup ``k`` (a sorted index tuple, as ``left_cosets`` takes it);
-    ValueError, before any product, if it is not.  The representatives are
-    then the first element of each coset B where y is nonzero: a*rep(B)
-    lies in the coset a*B, which gains x(a) y(B), so one last pass gives
-    every element of a coset the coset's sum, and the numerators equal the
-    general loop's.  That is |supp x| * |G/K| products.
+    If y is uniform on its support and that support is a left coset s*K of
+    a subgroup, and |supp x| * |supp y| > |G|, the one representative is s:
+    a*s lies in the coset a*s*K, which gains x(a) y(s), so one last pass
+    gives every element of a coset the coset's sum, and the numerators equal
+    the general loop's.  That is |supp x| products and an O(|G|) pass.  A
+    support that only tiles G is no coset, as ``left_cosets`` checks.
     """
     group = _require_same_group(x, y)
-    nums = y.nums
-    if right_invariant is None:
-        blocks, reps = (), y.support()
-    else:
-        blocks = left_cosets(group, right_invariant)
-        if any(len({nums[i] for i in block}) > 1 for block in blocks):
-            raise ValueError(
-                "right_invariant: the right factor is not constant on "
-                "the left cosets of the given subgroup"
-            )
-        reps = [block[0] for block in blocks if nums[block[0]]]
-    right = [nums[j] for j in reps]
+    reps = y.support()
+    blocks = ()
+    if y.den == len(reps) and x.support_size() * len(reps) > group.order:
+        blocks = _partition_with_block(group, reps)
+        if blocks:
+            reps = reps[:1]
+    right = [y.nums[j] for j in reps]
     row = group.right_products(reps)
     out = [0] * group.order
     for i, xi in enumerate(x.nums):
@@ -280,12 +264,8 @@ def triple_decompose(
         x_parts[block_of[times_pi(a)[0]]][a] = x.nums[a]
     weights = tuple(map(sum, x_parts))
     z_shift = translate(pi, z)
-    # uniform on K is the one z inside K that is constant on the cosets of K
-    invariant = k if z == uniform_on(group, k) else None
     parts = tuple(
-        convolve(
-            CipherDist.from_numerators(group, nums, w), z_shift, right_invariant=invariant
-        )
+        convolve(CipherDist.from_numerators(group, nums, w), z_shift)
         if w
         else uniform_on(group, block)
         for w, nums, block in zip(weights, x_parts, blocks)

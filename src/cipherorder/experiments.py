@@ -129,12 +129,11 @@ def _union(blocks: tuple[tuple[int, ...], ...]) -> list[int]:
     return [i for block in blocks for i in block]
 
 
-def _threefold(x: CipherDist, y: int, h: tuple[int, ...]) -> tuple[CipherDist, ...]:
-    """(delta_y x, T = x delta_y x, D = x x) for an ``x`` constant on the
-    left cosets of ``h``; every right factor is then constant on them too."""
-    yx = convolve(deterministic(x.group, y), x, right_invariant=h)
-    t = convolve(x, yx, right_invariant=h)
-    return yx, t, convolve(x, x, right_invariant=h)
+def _threefold(x: CipherDist, y: int) -> tuple[CipherDist, ...]:
+    """(delta_y x, T = x delta_y x, D = x x)."""
+    yx = convolve(deterministic(x.group, y), x)
+    t = convolve(x, yx)
+    return yx, t, convolve(x, x)
 
 
 def _default_q_max(group: GroupTable, q_max: int | None) -> int:
@@ -156,7 +155,7 @@ def run_expand(
     and is more secure than D by every metric."""
     q_max = _default_q_max(group, q_max)
     x = uniform_on(group, h)
-    _, t, d = _threefold(x, pi, h)
+    _, t, d = _threefold(x, pi)
     rows = _Rows()
 
     if pi in h:
@@ -209,7 +208,7 @@ def run_collapse(
     pi_inv = group.inverse(pi)
     uniform_h = uniform_on(group, h)
     x = translate(pi, uniform_h)
-    yx, t, d = _threefold(x, pi_inv, h)
+    yx, t, d = _threefold(x, pi_inv)
     rows = _Rows()
 
     if pi in h:
@@ -231,7 +230,7 @@ def run_collapse(
     )
 
     # dropping the leading pi recovers the expansion experiment's pair
-    _, t_exp, d_exp = _threefold(uniform_h, pi, h)
+    _, t_exp, d_exp = _threefold(uniform_h, pi)
     rows.exact("translated_T_equals_expand_D", True, translate(pi_inv, t) == d_exp)
     rows.exact("translated_D_equals_expand_T", True, translate(pi_inv, d) == t_exp)
 
@@ -267,8 +266,8 @@ def run_general_collapse(
     x_prod = x
     prev_support = 0
     for r in range(1, rounds + 1):
-        ye = convolve(y, e, right_invariant=h)
-        e = convolve(x, ye, right_invariant=h)
+        ye = convolve(y, e)
+        e = convolve(x, ye)
         x_prod = convolve(x, x_prod)
         rows.exact(f"r{r}_support_E", len(h), e.support_size())
         rows.exact(f"r{r}_E_equals_uniform_piH", True, e == x)
@@ -301,7 +300,7 @@ def run_amplifier(n: int) -> ExperimentResult:
     h = stabilizer(group, (fixed_point,))
     pi = group.index(Permutation(tuple((i + 1) % space for i in range(space))))
     x = uniform_on(group, h)
-    _, t, d = _threefold(x, pi, h)
+    _, t, d = _threefold(x, pi)
     rows = _Rows()
 
     hpih = _union(double_coset(group, h, pi, h))

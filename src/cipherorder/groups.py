@@ -10,9 +10,14 @@ index of G, and subgroups, cosets and double cosets are sorted tuples of G's
 element indices.  A ``Permutation`` becomes an element of G only through ``G.index``, and a
 table built on its own becomes a subgroup of G only through
 ``G.indices_of(table)``: each is the one conversion and the one membership
-check.  Everything is desk scale by design: this module alone decides the
-element-count cap, ``DEFAULT_CAP``, and refuses a larger group before
-enumerating it where its order is known in advance.
+check.  ``left_cosets`` verifies that its subgroup is one, so
+``dist.convolve``, which takes the coset quotient when its right factor is
+uniform on a left coset, never trusts a caller's subgroup.  Everything is
+desk scale by design: this module alone decides the element-count cap,
+``DEFAULT_CAP``, and the cap on stored image entries (order x degree),
+``_ENTRY_CAP``, and refuses a larger group before enumerating it where its
+order is known in advance, and during the breadth-first search of
+``closure`` otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .perms import Permutation
 
 DEFAULT_CAP = 50_000
+# stored image entries, order x degree: sym(8) needs 322,560, cyclic(632)
+# 399,424; each entry is a pointer in a word tuple
+_ENTRY_CAP = 400_000
 
 
 class GroupSizeError(ValueError):
@@ -33,6 +41,27 @@ class GroupSizeError(ValueError):
 def over_cap(name: str) -> GroupSizeError:
     """The refusal of the group called ``name``: it has too many elements."""
     return GroupSizeError(f"{name} has more than {DEFAULT_CAP} elements, the group-size cap")
+
+
+def _check_size(name: str, order: int, degree: int) -> None:
+    """Refuse the group called ``name`` if its ``order`` elements of
+    ``degree`` points pass either cap."""
+    if order > DEFAULT_CAP:
+        raise over_cap(name)
+    if order * degree > _ENTRY_CAP:
+        raise GroupSizeError(
+            f"{name} has more than {_ENTRY_CAP} image entries (order x degree), "
+            "the group-size cap"
+        )
+
+
+def _check_element(group: GroupTable, i: int) -> None:
+    """Raise unless ``i`` is an element index of ``group``: an ``int`` (a
+    ``bool`` or a float is a TypeError) in range."""
+    if type(i) is not int:
+        raise TypeError(f"element indices must be ints, got {i!r}")
+    if not 0 <= i < group.order:
+        raise ValueError(f"element index {i} out of range")
 
 
 def _right_factor(w: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -55,9 +84,10 @@ class GroupTable:
     come from ``closure`` (the table of an explicit element set is
     ``closure(elements)``), ``symmetric_group``, ``cyclic_group`` and the
     scenario specs.  Instances are immutable in value and safe to share
-    across threads: ``left_cosets`` keeps each partition it builds in
-    ``_cosets``, keyed by the subgroup and left out of equality and hash,
-    and two threads racing on one partition at worst both compute it.
+    across threads: ``left_cosets`` verifies each subgroup and keeps the
+    partition it builds in ``_cosets``, keyed by each block and left out of
+    equality and hash, and two threads racing on one partition at worst both
+    compute it.
     """
 
     __slots__ = ("degree", "words", "_index", "_cosets")
@@ -137,7 +167,7 @@ def closure(generators: Iterable[Permutation]) -> GroupTable:
     """The group generated by ``generators``, enumerated breadth-first on
     image tuples.
 
-    Raises ``GroupSizeError`` if the group would exceed the cap.
+    Raises ``GroupSizeError`` as soon as the elements found pass either cap.
     """
     gens = list(generators)
     if not gens:
@@ -146,6 +176,7 @@ def closure(generators: Iterable[Permutation]) -> GroupTable:
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share one degree")
     gen_words = [g.images for g in gens]
+    limit = min(DEFAULT_CAP, _ENTRY_CAP // degree)
     seen: set[tuple[int, ...]] = {tuple(range(degree))}
     frontier: list[tuple[int, ...]] = list(seen)
     while frontier:
@@ -157,15 +188,16 @@ def closure(generators: Iterable[Permutation]) -> GroupTable:
                 if c not in seen:
                     seen.add(c)
                     new.append(c)
-                    if len(seen) > DEFAULT_CAP:
-                        raise over_cap("generated group")
+                    if len(seen) > limit:
+                        _check_size("generated group", len(seen), degree)
         frontier = new
     return GroupTable._from_words(sorted(seen))
 
 
 def symmetric_group(m: int) -> GroupTable:
-    """All permutations of {0..m-1}; m! is checked against the cap by a
-    running product that stops as soon as it passes the cap.
+    """All permutations of {0..m-1}; m! is checked against the element cap
+    by a running product that stops as soon as it passes it, then m! * m
+    against the entry cap.
     ``itertools.permutations`` yields the words in lexicographic order."""
     if m < 0:
         raise ValueError(f"sym({m}): degree must be nonnegative")
@@ -177,13 +209,13 @@ def symmetric_group(m: int) -> GroupTable:
         order *= k
         if order > DEFAULT_CAP:
             raise over_cap(f"sym({m})")
+    _check_size(f"sym({m})", order, m)
     return GroupTable._from_words(tuple(_words(range(m))))
 
 
 def cyclic_group(m: int) -> GroupTable:
     """The cyclic group generated by the +1 (mod m) rotation of {0..m-1}."""
-    if m > DEFAULT_CAP:
-        raise over_cap(f"cyclic({m})")
+    _check_size(f"cyclic({m})", m, m)
     rot = Permutation(tuple((i + 1) % m for i in range(m)))
     return closure([rot])
 
@@ -208,17 +240,46 @@ def stabilizer(group: GroupTable, points: tuple[int, ...]) -> tuple[int, ...]:
 def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[int, ...]:
     """The conjugate pi * H * pi^-1 of the subgroup ``h`` of ``group``, as
     sorted indices."""
+    _check_element(group, pi)
     times_pi_inv = group.right_products((group.inverse(pi),))
     return tuple(sorted(times_pi_inv(j)[0] for j in group.right_products(h)(pi)))
 
 
+def _check_subgroup(parent: GroupTable, k: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless the indices ``k`` are a subgroup, each
+    once: generators taken greedily from the end of ``k`` are closed coset by
+    coset (Dimino's algorithm, each right coset H*c one C-level map over the
+    words of the group H so far), and every coset must lie in ``k``."""
+    words = parent.words
+    inside = {words[j] for j in k}
+    seen = {words[0]}
+    gens: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
+    for j in reversed(k):
+        if len(seen) < len(inside) and words[j] not in seen:
+            gens.append(_right_factor(words[j]))
+            sub, reps = list(seen), [words[0]]
+            for r in reps:
+                for times in gens:
+                    c = times(r)
+                    if c not in seen:
+                        coset = set(map(_right_factor(c), sub))
+                        if not coset <= inside:
+                            raise ValueError("the indices are not a subgroup: not closed")
+                        seen |= coset
+                        reps.append(c)
+    if seen != inside or len(inside) != len(k):
+        raise ValueError("the indices are not a subgroup: no identity, or a repeat")
+
+
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Partition of ``parent`` into the left cosets g*K of the subgroup ``k``:
-    sorted blocks of parent indices, ordered by their minimal member.  Built
-    once per table and subgroup, on first use."""
+    """Partition of ``parent`` into the left cosets g*K of the subgroup ``k``
+    (``ValueError`` if it is none): sorted blocks of parent indices, ordered
+    by their minimal member.  Built once per table and subgroup, on first
+    use, and kept under each of its blocks."""
     k = tuple(k)
     blocks = parent._cosets.get(k)
-    if blocks is None:
+    if blocks is None or blocks[0] != k:
+        _check_subgroup(parent, k)
         row = parent.right_products(k)
         covered: set[int] = set()
         found = []
@@ -227,7 +288,21 @@ def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...]
                 block = tuple(sorted(row(i)))
                 covered.update(block)
                 found.append(block)
-        blocks = parent._cosets[k] = tuple(found)
+        blocks = tuple(found)
+        parent._cosets.update(dict.fromkeys(blocks, blocks))
+    return blocks
+
+
+def _partition_with_block(parent: GroupTable, block: tuple[int, ...]) -> tuple:
+    """The left-coset partition with the sorted indices ``block`` = s*K as a
+    block, s = ``block[0]``, or ``()`` if K = s^-1 * ``block`` is no subgroup."""
+    blocks = parent._cosets.get(block)
+    if blocks is None:
+        try:
+            k = sorted(parent.right_products(block)(parent.inverse(block[0])))
+            blocks = left_cosets(parent, k)
+        except ValueError:
+            return ()
     return blocks
 
 
@@ -237,6 +312,7 @@ def double_coset(
     """H*pi*K as its left cosets of K: the blocks of ``left_cosets(parent, k)``
     that meet H*pi, ordered by their minimal member.  Their count is
     [H : H n pi*K*pi^-1] by orbit-stabilizer."""
+    _check_element(parent, pi)
     times_pi = parent.right_products((pi,))
     h_pi = {times_pi(a)[0] for a in h}
     return tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))

@@ -612,15 +612,18 @@ def test_experiment_subcommands_parse_to_a_run(argv):
 
 # a degree of 5000 digits: over the cap, and over int()'s 4300-digit limit
 BIG = "9" * 5000
+# cyclic(4000) is under the element cap, but its 16,000,000 image entries
+# are over the entry budget
 BAD_GROUP_SPECS = [
     "sym(0)", "cyclic(0)", f"sym({BIG})", f"cyclic({BIG})", f"stab({BIG}, 0)",
+    "cyclic(4000)",
 ]
 
 
 @pytest.mark.parametrize(
     "spec",
     BAD_GROUP_SPECS,
-    ids=["sym(0)", "cyclic(0)", "sym(big)", "cyclic(big)", "stab(big,0)"],
+    ids=["sym(0)", "cyclic(0)", "sym(big)", "cyclic(big)", "stab(big,0)", "cyclic(4000)"],
 )
 def test_bad_group_spec_names_the_field(tmp_path, capsys, spec):
     scenario = dict(SCENARIO, group=spec)
@@ -639,6 +642,8 @@ def test_bad_group_spec_names_the_field(tmp_path, capsys, spec):
         assert captured.err.startswith(prefix)
         if BIG in spec:
             assert "50000 elements, the group-size cap" in captured.err
+        if spec == "cyclic(4000)":
+            assert "cyclic(4000) has more than 400000 image entries" in captured.err
 
 
 def test_degree_zero_group_keeps_its_error(capsys):

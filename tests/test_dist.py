@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -312,6 +313,18 @@ class TestTripleDecompose:
         with pytest.raises(ValueError):
             triple_decompose(x, P, x, H01, H01)
 
+    def test_pi_is_refused_before_any_product(self, monkeypatch):
+        import cipherorder.dist as dist
+
+        def no_product(x, y):
+            raise AssertionError("a product was taken")
+
+        monkeypatch.setattr(dist, "convolve", no_product)
+        x = uniform_on(S3, H01)
+        for pi, error in ((-1, ValueError), (S3.order, ValueError), (True, TypeError)):
+            with pytest.raises(error, match="^element ind"):
+                triple_decompose(x, pi, x, H01, H01)
+
     def test_randomized_reconstruction_and_majorization(self):
         rng = random.Random(23)
         for group in (S3, S4):
@@ -442,8 +455,29 @@ def coset_constant_dist(rng, group, blocks):
     return CipherDist(group, tuple(mass))
 
 
+def record_partitions(monkeypatch):
+    """Record every coset partition that ``convolve`` takes its quotient on."""
+    import cipherorder.dist as dist
+
+    taken = []
+    real = dist._partition_with_block
+
+    def recording(group, block):
+        blocks = real(group, block)
+        if blocks:
+            taken.append(blocks)
+        return blocks
+
+    monkeypatch.setattr(dist, "_partition_with_block", recording)
+    return taken
+
+
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_GROUPS))
-def test_right_invariant_convolve_equals_oracle(name):
+def test_right_invariant_convolve_equals_oracle(name, monkeypatch):
+    # y uniform on a coset of K takes the quotient on K's cosets when the
+    # general loop would do more than |G| products; y constant on the cosets
+    # takes it only where its support is a coset too
+    taken = record_partitions(monkeypatch)
     group = DIFFERENTIAL_GROUPS[name]
     rng = random.Random(f"right-invariant:{name}")
     trivial = (group.index(identity(group.degree)),)
@@ -452,35 +486,46 @@ def test_right_invariant_convolve_equals_oracle(name):
     subgroups = [trivial, whole] + [random_subgroup(rng, group) for _ in range(draws)]
     for k in subgroups:
         blocks = left_cosets(group, k)
-        y = coset_constant_dist(rng, group, blocks)
+        uniform = uniform_on(group, rng.choice(blocks))
+        constant = coset_constant_dist(rng, group, blocks)
         sparse = random_dist_on(rng, group, random_subgroup(rng, group))
         dense = dist_over(rng, group, 27)
         point = point_mass(group, rng.randrange(group.order))
         for x in (sparse, dense, point):
-            result = convolve(x, y, right_invariant=k)
-            assert_exact(result, convolve_oracle(x, y))
-            assert result == convolve(x, y)
-            assert hash(result) == hash(convolve(x, y))
+            for y in (uniform, constant):
+                assert_exact(convolve(x, y), convolve_oracle(x, y))
+            taken.clear()
+            convolve(x, uniform)
+            assert taken == ([blocks] if x.support_size() * len(k) > group.order else [])
 
 
-def test_right_invariant_refuses_a_factor_not_constant_on_cosets():
+def test_a_subset_that_only_tiles_is_refused_and_never_gives_a_wrong_product():
+    # (0, 1, 4) contains the identity and its left translates tile S3, but it
+    # is not closed; the true product with a point mass is uniform on (0, 1, 2)
+    tiles = (0, 1, 4)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        left_cosets(S3, tiles)
+    product = convolve(deterministic(S3, 1), uniform_on(S3, tiles))
+    assert_exact(product, convolve_oracle(point_mass(S3, 1), uniform_on(S3, tiles)))
+    assert product == uniform_on(S3, (0, 1, 2))
+    # every 3-element set: a dense x makes the quotient worth trying
+    x = random_dist(random.Random(31), S3)
+    for subset in itertools.combinations(range(S3.order), 3):
+        y = uniform_on(S3, subset)
+        assert_exact(convolve(x, y), convolve_oracle(x, y))
+    # uniform on H, and one mass moved inside a coset of H
     h = stabilizer(S4, (3,))
     x = random_dist(random.Random(31), S4)
-    # uniform on H is constant on the cosets of H, not on those of S4 or of
-    # another point stabilizer
     y = uniform_on(S4, h)
-    assert convolve(x, y, right_invariant=h) == convolve(x, y)
-    for k in (tuple(range(S4.order)), stabilizer(S4, (0,))):
-        with pytest.raises(ValueError, match="right_invariant"):
-            convolve(x, y, right_invariant=k)
-    # one mass moved inside a coset of H breaks the invariance
     mass = list(y.mass)
     i, j = h[0], h[1]
     mass[i], mass[j] = mass[i] + mass[j], Fraction(0)
-    with pytest.raises(ValueError, match="right_invariant"):
-        convolve(x, CipherDist(S4, tuple(mass)), right_invariant=h)
+    for right in (y, CipherDist(S4, tuple(mass))):
+        assert_exact(convolve(x, right), convolve_oracle(x, right))
     with pytest.raises(TypeError):
         convolve(x, y, h)
+    with pytest.raises(TypeError):
+        convolve(x, y, right_invariant=h)
 
 
 def renormalized(x, block, pi, w):
@@ -492,18 +537,12 @@ def renormalized(x, block, pi, w):
 
 
 def test_triple_decompose_parts_of_a_uniform_z(monkeypatch):
-    # z uniform on K makes delta_pi * z constant on the cosets of K: each
-    # weighted part is uniform on its block, and is computed on the cosets
-    import cipherorder.dist as dist
-
-    invariants = []
-
-    def recording(x, y, *, right_invariant=None):
-        invariants.append(right_invariant)
-        return convolve(x, y, right_invariant=right_invariant)
-
-    monkeypatch.setattr(dist, "convolve", recording)
+    # z uniform on K makes delta_pi * z uniform on the coset pi*K: each
+    # weighted part is uniform on its block, and is computed on the cosets of
+    # K when its general loop would do more than |G| products
+    taken = record_partitions(monkeypatch)
     rng = random.Random(37)
+    quotients = 0
     for group in (S3, S4, symmetric_group(5)):
         for _ in range(6):
             h = random_subgroup(rng, group)
@@ -511,21 +550,26 @@ def test_triple_decompose_parts_of_a_uniform_z(monkeypatch):
             pi = rng.randrange(group.order)
             x = random_dist_on(rng, group, h)
             shifted = convolve_oracle(point_mass(group, pi), uniform_on(group, k))
-            invariants.clear()
+            taken.clear()
             decomp = triple_decompose(x, pi, uniform_on(group, k), h, k)
-            assert k in invariants
+            big = 0
             for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
                 assert part == uniform_on(group, block)
                 if w:
-                    assert_exact(part, convolve_oracle(renormalized(x, block, pi, w), shifted))
+                    x_b = renormalized(x, block, pi, w)
+                    assert_exact(part, convolve_oracle(x_b, shifted))
+                    big += x_b.support_size() * len(k) > group.order
+            assert taken == [left_cosets(group, k)] * big
+            quotients += big
             # a z inside K that is not uniform on it takes the general loop
             z = dist_over(rng, group, 25, k)
             if z == uniform_on(group, k):
                 continue
             shifted = convolve_oracle(point_mass(group, pi), z)
-            invariants.clear()
+            taken.clear()
             decomp = triple_decompose(x, pi, z, h, k)
-            assert k not in invariants
+            assert taken == []
             for w, part, block in zip(weights(decomp), decomp.parts, decomp.blocks):
                 if w:
                     assert_exact(part, convolve_oracle(renormalized(x, block, pi, w), shifted))
+    assert quotients

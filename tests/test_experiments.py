@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cipherorder.dist import convolve
+from cipherorder.dist import convolve, uniform_on
 from cipherorder.experiments import (
     emit_report,
     run_amplifier,
@@ -19,6 +19,7 @@ from cipherorder.groups import (
     GroupSizeError,
     closure,
     conjugate_subgroup,
+    left_cosets,
     stabilizer,
     symmetric_group,
 )
@@ -185,30 +186,51 @@ def test_collapse_directions_mirror_expand():
 
 
 def test_which_products_take_the_coset_quotient(monkeypatch):
-    # every product whose right factor is constant on the cosets of H says
-    # so, except general-collapse's X chain: declaring it too made a 25 s
-    # experiments-s6 benchmark run fit 4,004 jobs instead of 2,272 and raised
-    # its peak RSS from 22.9 to 26.5 MB (+15.7%, against a 20% bound)
+    # a product takes the quotient exactly when its right factor is uniform
+    # on a left coset of H and the general loop would do more than |G|
+    # products; so translations by a point mass and general-collapse's X
+    # chain from round 2 on, whose right factor is no coset, take the
+    # general loop
+    import cipherorder.dist as dist
     import cipherorder.experiments as experiments
 
-    calls = []
+    calls, taken = [], []
+    partition = dist._partition_with_block
 
-    def recording(x, y, *, right_invariant=None):
-        calls.append(right_invariant is not None)
-        return convolve(x, y, right_invariant=right_invariant)
+    def spy(group, block):
+        blocks = partition(group, block)
+        taken.append(bool(blocks))
+        return blocks
 
+    def recording(x, y):
+        taken.clear()
+        z = convolve(x, y)
+        calls.append((x, y, any(taken)))
+        return z
+
+    monkeypatch.setattr(dist, "_partition_with_block", spy)
     monkeypatch.setattr(experiments, "convolve", recording)
     h = stabilizer(S4, (3,))
-    runs = {
-        "expand": (lambda: run_expand(S4, h, T23), (3, 0)),
-        "collapse": (lambda: run_collapse(S4, h, T23), (6, 0)),
-        "general-collapse": (lambda: run_general_collapse(S4, h, T23, 3), (6, 3)),
-        "amplifier": (lambda: run_amplifier(1), (3, 0)),
+    # amplifier at n = 1 runs on sym(3) with H = stab(3, 2), where no
+    # general loop passes |G| = 6 products
+    cases = {
+        "expand": (lambda: run_expand(S4, h, T23), S4, h, (2, 1)),
+        "collapse": (lambda: run_collapse(S4, h, T23), S4, h, (4, 2)),
+        "general-collapse": (lambda: run_general_collapse(S4, h, T23, 3), S4, h, (4, 5)),
+        "amplifier": (lambda: run_amplifier(1), S3, stabilizer(S3, (2,)), (0, 3)),
     }
-    for name, (run, counts) in runs.items():
+    for name, (run, group, sub, counts) in cases.items():
+        cosets = [uniform_on(group, block) for block in left_cosets(group, sub)]
         calls.clear()
         assert run().passed, name
-        assert (calls.count(True), calls.count(False)) == counts, name
+        for x, y, took in calls:
+            big = x.support_size() * y.support_size() > group.order
+            assert took == (y in cosets and big), name
+        took = [took for _, _, took in calls]
+        assert (took.count(True), took.count(False)) == counts, name
+        if name == "general-collapse":
+            # each round convolves delta, then E, then the X chain
+            assert took[2::3] == [True, False, False]
 
 
 class TestAmplifier:

@@ -1,12 +1,14 @@
 import random
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from cipherorder.groups import (
     DEFAULT_CAP,
     GroupSizeError,
+    _check_size,
+    _partition_with_block,
     closure,
     conjugate_subgroup,
     cyclic_group,
@@ -66,6 +68,20 @@ def test_known_order_over_cap_fails_before_enumerating(build, m, name):
     with pytest.raises(GroupSizeError) as info:
         build(m)
     assert str(info.value) == expected
+
+
+def test_entry_budget_fails_before_enumerating():
+    # cyclic(m) stores m words of m points: under the element cap, over the
+    # entry budget from m = 633 on; sym(8)'s 40,320 words of 8 fit
+    _check_size("sym(8)", 40_320, 8)
+    for m in (633, 4000, DEFAULT_CAP):
+        expected = (
+            f"cyclic({m}) has more than 400000 image entries (order x degree), "
+            "the group-size cap"
+        )
+        with pytest.raises(GroupSizeError) as info:
+            cyclic_group(m)
+        assert str(info.value) == expected
 
 
 def test_closure_empty_generators():
@@ -162,6 +178,58 @@ def test_left_cosets_are_built_once_per_table_and_subgroup():
     assert left_cosets(fresh, h) is not blocks
 
 
+def test_left_cosets_are_kept_under_every_block():
+    h = stabilizer(S4, (3,))
+    blocks = left_cosets(S4, h)
+    for block in blocks:
+        assert _partition_with_block(S4, block) is blocks
+    # a cached coset other than H is still no subgroup
+    with pytest.raises(ValueError, match="not a subgroup"):
+        left_cosets(S4, blocks[1])
+    # a coset of a subgroup not built yet is found through s^-1 * block
+    fresh = symmetric_group(4)
+    assert _partition_with_block(fresh, blocks[2]) == blocks
+    assert left_cosets(fresh, h) is _partition_with_block(fresh, blocks[2])
+    assert _partition_with_block(S4, (0, 1, 4)) == ()
+
+
+def is_closed(group, k):
+    """Brute force: ``k`` is nonempty and closed under products."""
+    members = {group.element(i) for i in k}
+    return bool(k) and all(compose(a, b) in members for a in members for b in members)
+
+
+def assert_left_cosets_accepts_iff_closed(group, k) -> bool:
+    closed = is_closed(group, k)
+    if closed:
+        assert left_cosets(group, k)[0] == k
+    else:
+        with pytest.raises(ValueError, match="not a subgroup"):
+            left_cosets(group, k)
+    return closed
+
+
+def test_left_cosets_accepts_exactly_the_subgroups():
+    # every index set of S3; (0, 1, 4) contains the identity and tiles S3 by
+    # left translates, but is not closed
+    subgroups = 0
+    for size in range(S3.order + 1):
+        for k in combinations(range(S3.order), size):
+            subgroups += assert_left_cosets_accepts_iff_closed(S3, k)
+    assert subgroups == 6
+    with pytest.raises(ValueError, match="not a subgroup"):
+        left_cosets(S3, (0, 0, 1))
+    # random subgroups of S4, and each with one element swapped for another
+    rng = random.Random(11)
+    for _ in range(40):
+        h = random_subgroup(rng, S4)
+        assert_left_cosets_accepts_iff_closed(S4, h)
+        outside = sorted(set(range(S4.order)) - set(h))
+        if outside:
+            swapped = set(h) - {rng.choice(h)} | {rng.choice(outside)}
+            assert_left_cosets_accepts_iff_closed(S4, tuple(sorted(swapped)))
+
+
 def test_indices_of_rejects_a_table_outside_the_parent():
     c3 = closure([cycle(3, (0, 1, 2))])
     with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):
@@ -230,6 +298,27 @@ def test_double_coset_rejects_pi_outside_the_parent():
     trivial = c3.indices_of(closure([identity(3)]))
     with pytest.raises(ValueError, match=r"^\[1,0,2\] is not an element of this group$"):
         double_coset(c3, trivial, c3.index(transposition(3, 0, 1)), trivial)
+
+
+H3 = stabilizer(S4, (3,))
+PI_CALLS = {
+    "conjugate_subgroup": lambda pi: conjugate_subgroup(S4, pi, H3),
+    "double_coset": lambda pi: double_coset(S4, H3, pi, H3),
+}
+
+
+@pytest.mark.parametrize("name", list(PI_CALLS))
+def test_pi_must_be_an_element_index(name):
+    # -1 once conjugated by the last element, and 99 raised IndexError
+    call = PI_CALLS[name]
+    for pi in (-1, S4.order, 99):
+        with pytest.raises(ValueError, match=f"^element index {pi} out of range$"):
+            call(pi)
+    for pi in (True, 1.0):
+        with pytest.raises(TypeError, match=f"^element indices must be ints, got {pi}$"):
+            call(pi)
+    assert call(S4.order - 1)
+
 
 def test_randomized_lagrange_and_orbit_stabilizer():
     rng = random.Random(7)
