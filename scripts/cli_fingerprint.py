@@ -21,10 +21,15 @@ Runs ``cipherorder.cli.main`` in-process on:
 * the experiments-s6 job shapes but ``amplifier`` on sym(7), once with
   H = stab(7, t) and once with H generated by two random permutations that
   fix t and one more point, and pi moving t, where the coset quotient's
-  partitions are largest.
+  partitions are largest;
+* ``expand`` and ``collapse`` (``--q-max 6``) and ``general-collapse``
+  (``--rounds 2``) on two ambient groups built by closure: ``cyclic(6)``
+  with H generated by the rotation by 2, and the dihedral group of the
+  hexagon, ``gen(...)`` of the rotation and a reflection, with H generated
+  by the reflection fixing 0; pi is the rotation by 1 in both.
 
-The sym(7) calls come last, so every earlier call and random draw is the
-same as in the script before they were added.
+Each group of calls was appended after the ones before it, so every earlier
+call and random draw is the same as in the script before it was added.
 
 Each call prints one line: a SHA-256 over its stdout, its CSV (none for
 ``majorize``, ``metrics`` and ``convolve``) and its exit code, then its argv
@@ -122,6 +127,25 @@ def _s7_setups(rng: random.Random) -> list[list[str]]:
         setup = ["--group", "sym(7)", "--subgroup", subgroup, "--pi", json.dumps(pi)]
         calls.append(["expand", *setup, "--q-max", "1"])
         calls.append(["collapse", *setup, "--q-max", "1"])
+        calls.append(["general-collapse", *setup, "--rounds", "2"])
+    return calls
+
+
+def _closure_setups() -> list[list[str]]:
+    rotation, reflection = [1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]
+    groups = [
+        ("cyclic(6)", [[2, 3, 4, 5, 0, 1]]),
+        (f"gen({json.dumps([rotation, reflection])})", [reflection]),
+    ]
+    calls = []
+    for group, gens in groups:
+        setup = [
+            "--group", group,
+            "--subgroup", f"gen({json.dumps(gens)})",
+            "--pi", json.dumps(rotation),
+        ]
+        calls.append(["expand", *setup, "--q-max", "6"])
+        calls.append(["collapse", *setup, "--q-max", "6"])
         calls.append(["general-collapse", *setup, "--rounds", "2"])
     return calls
 
@@ -243,6 +267,7 @@ def main() -> int:
         for path, scenario in scenarios:
             calls += [["convolve", str(path), name] for name in scenario["products"]]
         calls += _s7_setups(rng)
+        calls += _closure_setups()
         lines = [_fingerprint(argv, tmp) for argv in calls]
     for line in lines:
         print(line)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import GroupTable, _partition_with_block, double_coset
+from .groups import GroupTable, _check_element, _partition_with_block, double_coset
 from .majorize import _numerators
 from .perms import _Frozen
 
@@ -124,14 +124,10 @@ def uniform_on(group: GroupTable, subset: Iterable[int]) -> CipherDist:
     ``bool`` or a float index is a TypeError."""
     subset = tuple(subset)
     for i in subset:
-        if type(i) is not int:
-            raise TypeError(f"element indices must be ints, got {i!r}")
+        _check_element(group, i)
     indices = set(subset)
     if not indices:
         raise ValueError("cannot be uniform on an empty subset")
-    for i in indices:
-        if not 0 <= i < group.order:
-            raise ValueError(f"element index {i} out of range")
     nums = [1 if i in indices else 0 for i in range(group.order)]
     return CipherDist.from_numerators(group, nums, len(indices))
 

@@ -309,10 +309,7 @@ def run_amplifier(n: int) -> ExperimentResult:
     rows.exact("T_uniform_on_double_coset", True, t == uniform_on(group, hpih))
     rows.exact("supp_D_equals_sym_M", True, d.support() == h)
 
-    fix_mass = Fraction(
-        sum(n for n, w in zip(d.nums, group.words) if w[fixed_point] == fixed_point),
-        d.den,
-    )
+    fix_mass = Fraction(sum([d.nums[i] for i in h]), d.den)
     rows.exact("D_fixes_distinguished_point", Fraction(1), fix_mass)
     ideal_fix = Fraction(factorial(space - 1), factorial(space))
     rows.exact(

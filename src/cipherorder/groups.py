@@ -12,7 +12,11 @@ table built on its own becomes a subgroup of G only through
 ``G.indices_of(table)``: each is the one conversion and the one membership
 check.  ``left_cosets`` verifies that its subgroup is one, so
 ``dist.convolve``, which takes the coset quotient when its right factor is
-uniform on a left coset, never trusts a caller's subgroup.  Everything is
+uniform on a left coset, never trusts a caller's subgroup.  This module
+owns the point-image partition: ``_image_blocks`` groups element indices by
+their image tuple g(p), the left cosets of the pointwise stabilizer Stab(p)
+in the order of their least member, so ``stabilizer`` is its first block,
+the identity's, and ``qsecurity.compare_q`` reads every block.  Everything is
 desk scale by design: this module alone decides the element-count cap,
 ``DEFAULT_CAP``, and the cap on stored image entries (order x degree),
 ``_ENTRY_CAP``, and refuses a larger group before enumerating it where its
@@ -22,6 +26,7 @@ order is known in advance, and during the breadth-first search of
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import permutations as _words
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -230,17 +235,38 @@ def check_points(points: tuple[int, ...], degree: int) -> None:
             raise ValueError(f"point {q} out of range for degree {degree}")
 
 
+def _image_columns(group: GroupTable) -> list[tuple[int, ...]]:
+    """``columns[a][i]`` is the image of point a under element i."""
+    return list(zip(*group.words))
+
+
+def _image_blocks(
+    columns: Sequence[Sequence[int]], order: int, p: tuple[int, ...]
+) -> list[list[int]]:
+    """Element indices grouped by image tuple g(p): the left cosets of
+    Stab(p), each in canonical order, in the order of their lexicographically
+    minimal member."""
+    if not p:
+        return [list(range(order))]
+    blocks: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+    for i, image in enumerate(zip(*[columns[a] for a in p])):
+        blocks[image].append(i)
+    return list(blocks.values())
+
+
 def stabilizer(group: GroupTable, points: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted indices of the elements fixing every point of ``points``."""
+    """Sorted indices of the elements fixing every point of ``points``: the
+    block of the identity (index 0, so the first) in the point-image partition."""
     check_points(points, group.degree)
-    fixed = list(points)
-    return tuple(i for i, w in enumerate(group.words) if [w[q] for q in points] == fixed)
+    return tuple(_image_blocks(_image_columns(group), group.order, points)[0])
 
 
 def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[int, ...]:
     """The conjugate pi * H * pi^-1 of the subgroup ``h`` of ``group``, as
     sorted indices."""
     _check_element(group, pi)
+    for j in h:
+        _check_element(group, j)
     times_pi_inv = group.right_products((group.inverse(pi),))
     return tuple(sorted(times_pi_inv(j)[0] for j in group.right_products(h)(pi)))
 
@@ -273,10 +299,14 @@ def _check_subgroup(parent: GroupTable, k: tuple[int, ...]) -> None:
 
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Partition of ``parent`` into the left cosets g*K of the subgroup ``k``
-    (``ValueError`` if it is none): sorted blocks of parent indices, ordered
+    (``ValueError`` if it is none, and ``_check_element``'s error for an
+    index that is no element): sorted blocks of parent indices, ordered
     by their minimal member.  Built once per table and subgroup, on first
     use, and kept under each of its blocks."""
     k = tuple(k)
+    # before the lookup: True and 1.0 equal 1, so they would find (0, 1)'s
+    for j in k:
+        _check_element(parent, j)
     blocks = parent._cosets.get(k)
     if blocks is None or blocks[0] != k:
         _check_subgroup(parent, k)
@@ -298,6 +328,9 @@ def _partition_with_block(parent: GroupTable, block: tuple[int, ...]) -> tuple:
     block, s = ``block[0]``, or ``()`` if K = s^-1 * ``block`` is no subgroup."""
     blocks = parent._cosets.get(block)
     if blocks is None:
+        if parent.order % len(block):
+            # |s*K| = |K| divides |G| (Lagrange): no K, and no closure to fail
+            return ()
         try:
             k = sorted(parent.right_products(block)(parent.inverse(block[0])))
             blocks = left_cosets(parent, k)
@@ -313,6 +346,8 @@ def double_coset(
     that meet H*pi, ordered by their minimal member.  Their count is
     [H : H n pi*K*pi^-1] by orbit-stabilizer."""
     _check_element(parent, pi)
+    for j in h:
+        _check_element(parent, j)
     times_pi = parent.right_products((pi,))
     h_pi = {times_pi(a)[0] for a in h}
     return tuple(b for b in left_cosets(parent, k) if not h_pi.isdisjoint(b))

@@ -2,10 +2,12 @@
 
 An adversary holding the images g(p) of a q-tuple p of distinct plaintexts
 knows the realized permutation g only up to its left coset of Stab(p).
-Grouping the group's element indices by g(p) in one pass yields the vector
-behind both q-query metrics: NCPA advantage (variation distance of the coset
-masses from uniform) and conditional guesswork (guesswork of the summed
-sorted per-coset profiles).  Every verdict is a ``Direction``.
+Grouping the group's element indices by g(p) in one pass, the point-image
+partition that ``groups`` owns (``groups.stabilizer`` is its identity
+block), yields the vector behind both q-query metrics: NCPA advantage
+(variation distance of the coset masses from uniform) and conditional
+guesswork (guesswork of the summed sorted per-coset profiles).  Every
+verdict is a ``Direction``.
 
 ``compare_q`` is the one q-query path.  It groups each tuple's indices once
 for both ciphers and runs on integers: both ciphers' stored numerators are
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .dist import CipherDist, _common_numerators, _require_same_group
-from .groups import GroupTable, check_points
+from .groups import GroupTable, _image_blocks, _image_columns, check_points
 from .majorize import MajorizationVerdict, Relation, _verdict
 from .metrics import _guesswork, _variation
 
@@ -37,25 +39,6 @@ def distinct_tuples(m: int, q: int) -> list[tuple[int, ...]]:
     if not 0 <= q <= m:
         raise ValueError(f"q must satisfy 0 <= q <= {m}, got {q}")
     return list(itertools.permutations(range(m), q))
-
-
-def _image_columns(group: GroupTable) -> list[tuple[int, ...]]:
-    """``columns[a][i]`` is the image of point a under element i."""
-    return list(zip(*group.words))
-
-
-def _image_blocks(
-    columns: Sequence[Sequence[int]], order: int, p: tuple[int, ...]
-) -> list[list[int]]:
-    """Element indices grouped by image tuple g(p): the left cosets of
-    Stab(p), each in canonical order, in the order of their lexicographically
-    minimal member."""
-    if not p:
-        return [list(range(order))]
-    blocks: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-    for i, image in enumerate(zip(*[columns[a] for a in p])):
-        blocks[image].append(i)
-    return list(blocks.values())
 
 
 def _profiles(blocks: list[list[int]], values: Sequence) -> list[list]:

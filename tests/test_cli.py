@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -394,6 +395,25 @@ def test_experiments_sym5_golden_output(tmp_path, capsys):
         csv.append(csv_path.read_bytes())
     assert "".join(out) == (DATA / "experiments_sym5.out").read_text()
     assert b"".join(csv) == (DATA / "experiments_sym5.csv").read_bytes()
+
+
+def test_cli_fingerprint_matches_golden():
+    """``scripts/cli_fingerprint.py`` hashes the output bytes of its seeded
+    CLI calls, so any change to any of them changes its lines."""
+    root = DATA.parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "scripts/cli_fingerprint.py"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "cli_fingerprint.txt").read_bytes()
 
 
 MIXED_SCENARIO = {

@@ -325,6 +325,20 @@ class TestTripleDecompose:
             with pytest.raises(error, match="^element ind"):
                 triple_decompose(x, pi, x, H01, H01)
 
+    def test_h_is_refused_before_any_product(self, monkeypatch):
+        # x lies inside each bad h, so double_coset is what refuses it
+        import cipherorder.dist as dist
+
+        def no_product(x, y):
+            raise AssertionError("a product was taken")
+
+        monkeypatch.setattr(dist, "convolve", no_product)
+        x = point_mass(S3, 0)
+        bad_h = ((-1, ValueError), (S3.order, ValueError), (True, TypeError), (1.0, TypeError))
+        for bad, error in bad_h:
+            with pytest.raises(error, match="^element ind"):
+                triple_decompose(x, P, x, (0, bad), H01)
+
     def test_randomized_reconstruction_and_majorization(self):
         rng = random.Random(23)
         for group in (S3, S4):
@@ -526,6 +540,41 @@ def test_a_subset_that_only_tiles_is_refused_and_never_gives_a_wrong_product():
         convolve(x, y, h)
     with pytest.raises(TypeError):
         convolve(x, y, right_invariant=h)
+
+
+def test_a_support_whose_size_does_not_divide_the_order_builds_no_subgroup(monkeypatch):
+    # general-collapse's round-2 factor X*X is uniform on pi*H*pi*H, 18 of
+    # S4's 24 elements and 96 of S5's 120; a coset of K has |K| elements, which
+    # divides |G|, so no K = s^-1 * supp is formed or closed
+    import cipherorder.groups as groups
+
+    built = []
+    real_inverse, real_cosets = GroupTable.inverse, groups.left_cosets
+
+    def inverse(group, i):
+        built.append("inverse")
+        return real_inverse(group, i)
+
+    def cosets(group, k):
+        built.append("left_cosets")
+        return real_cosets(group, k)
+
+    monkeypatch.setattr(GroupTable, "inverse", inverse)
+    monkeypatch.setattr(groups, "left_cosets", cosets)
+    for m, size in ((4, 18), (5, 96)):
+        group = symmetric_group(m)
+        h = stabilizer(group, (m - 1,))
+        x = translate(group.index(cycle(m, range(m))), uniform_on(group, h))
+        xx = convolve(x, x)
+        assert xx.support_size() == size and xx == uniform_on(group, xx.support())
+        built.clear()
+        assert_exact(convolve(x, xx), convolve_oracle(x, xx))
+        assert built == []
+        # on a new table, the spies see a uniform coset build its K
+        fresh = symmetric_group(m)
+        dense, y = uniform_on(fresh, range(fresh.order)), uniform_on(fresh, h)
+        assert_exact(convolve(dense, y), convolve_oracle(dense, y))
+        assert built == ["inverse", "left_cosets"]
 
 
 def renormalized(x, block, pi, w):

@@ -8,6 +8,8 @@ from cipherorder.groups import (
     DEFAULT_CAP,
     GroupSizeError,
     _check_size,
+    _image_blocks,
+    _image_columns,
     _partition_with_block,
     closure,
     conjugate_subgroup,
@@ -18,6 +20,7 @@ from cipherorder.groups import (
     symmetric_group,
 )
 from cipherorder.perms import Permutation, transposition
+from cipherorder.scenario import parse_group_spec
 
 from helpers import (
     apply,
@@ -266,6 +269,29 @@ def test_stabilizer_examples():
         stabilizer(S3, (0, 0))
 
 
+def test_stabilizer_is_the_identity_block_on_any_table():
+    # tables other than sym(m): a cyclic one, a gen(...) one (the dihedral
+    # group of the hexagon) and closures of random subgroups of sym(4)-sym(5)
+    rng = random.Random(35)
+    tables = [
+        cyclic_group(6),
+        parse_group_spec("gen([[1,2,3,4,5,0],[0,5,4,3,2,1]])", where="t"),
+    ]
+    for _ in range(4):
+        group = symmetric_group(rng.choice([4, 5]))
+        tables.append(closure(map(group.element, random_subgroup(rng, group))))
+    for table in tables:
+        columns = _image_columns(table)
+        # every tuple of up to 3 distinct points: empty, sorted and unsorted
+        for q in range(min(table.degree, 3) + 1):
+            for p in permutations(range(table.degree), q):
+                fixing = tuple(
+                    i for i, w in enumerate(table.words) if all(w[a] == a for a in p)
+                )
+                assert stabilizer(table, p) == fixing
+                assert _image_blocks(columns, table.order, p)[0] == list(fixing)
+
+
 def test_double_coset_collapses_for_pi_in_h():
     blocks = double_coset(S3, H01, S3.index(transposition(3, 0, 1)), H01)
     assert blocks == (H01,)
@@ -318,6 +344,30 @@ def test_pi_must_be_an_element_index(name):
         with pytest.raises(TypeError, match=f"^element indices must be ints, got {pi}$"):
             call(pi)
     assert call(S4.order - 1)
+
+
+SUBGROUP_CALLS = {
+    "left_cosets": left_cosets,
+    "conjugate_subgroup": lambda group, h: conjugate_subgroup(group, 1, h),
+    "double_coset": lambda group, h: double_coset(group, h, 1, stabilizer(group, (3,))),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBGROUP_CALLS))
+def test_subgroup_indices_must_be_element_indices(name):
+    # -1 was once read as the last element, True and 1.0 as the index 1, and
+    # the group order raised IndexError; refused on a new table and on one
+    # that has built the partition of (0, 1), which (0, True) and (0, 1.0) equal
+    call = SUBGROUP_CALLS[name]
+    left_cosets(S4, (0, 1))
+    for group in (symmetric_group(4), S4):
+        for bad in (-1, group.order):
+            with pytest.raises(ValueError, match=f"^element index {bad} out of range$"):
+                call(group, (0, bad))
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError, match=f"^element indices must be ints, got {bad}$"):
+                call(group, (0, bad))
+        assert call(group, (0, 1))
 
 
 def test_randomized_lagrange_and_orbit_stabilizer():

@@ -13,6 +13,8 @@ from cipherorder.dist import (
     uniform_on,
 )
 from cipherorder.groups import (
+    _image_blocks,
+    _image_columns,
     closure,
     cyclic_group,
     left_cosets,
@@ -27,8 +29,6 @@ from cipherorder.qsecurity import (
     Direction,
     LevelComparison,
     TupleComparison,
-    _image_blocks,
-    _image_columns,
     _profiles,
     compare_q,
     conditional_guesswork_oracle,
