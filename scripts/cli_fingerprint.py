@@ -23,10 +23,14 @@ Runs ``cipherorder.cli.main`` in-process on:
   fix t and one more point, and pi moving t, where the coset quotient's
   partitions are largest;
 * ``expand`` and ``collapse`` (``--q-max 6``) and ``general-collapse``
-  (``--rounds 2``) on two ambient groups built by closure: ``cyclic(6)``
-  with H generated by the rotation by 2, and the dihedral group of the
-  hexagon, ``gen(...)`` of the rotation and a reflection, with H generated
-  by the reflection fixing 0; pi is the rotation by 1 in both.
+  (``--rounds 2``) on two ambient groups: ``cyclic(6)`` with H generated
+  by the rotation by 2, and the dihedral group of the hexagon, built by
+  closure as ``gen(...)`` of the rotation and a reflection, with H
+  generated by the reflection fixing 0; pi is the rotation by 1 in both;
+* ``expand`` and ``collapse`` (``--q-max 2``) and ``general-collapse``
+  (``--rounds 2``) on sym(6) built by closure, ``gen(...)`` of a
+  transposition and the rotation by 1, with H = stab(6, 0) and pi the
+  rotation by 1.
 
 Each group of calls was appended after the ones before it, so every earlier
 call and random draw is the same as in the script before it was added.
@@ -150,6 +154,20 @@ def _closure_setups() -> list[list[str]]:
     return calls
 
 
+def _generated_sym6_setups() -> list[list[str]]:
+    rotation = [1, 2, 3, 4, 5, 0]
+    setup = [
+        "--group", f"gen({json.dumps([[1, 0, 2, 3, 4, 5], rotation])})",
+        "--subgroup", "stab(6, 0)",
+        "--pi", json.dumps(rotation),
+    ]
+    return [
+        ["expand", *setup, "--q-max", "2"],
+        ["collapse", *setup, "--q-max", "2"],
+        ["general-collapse", *setup, "--rounds", "2"],
+    ]
+
+
 def _scenario(rng: random.Random) -> dict:
     m = 4
     return {
@@ -268,6 +286,7 @@ def main() -> int:
             calls += [["convolve", str(path), name] for name in scenario["products"]]
         calls += _s7_setups(rng)
         calls += _closure_setups()
+        calls += _generated_sym6_setups()
         lines = [_fingerprint(argv, tmp) for argv in calls]
     for line in lines:
         print(line)

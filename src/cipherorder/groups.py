@@ -20,8 +20,8 @@ the identity's, and ``qsecurity.compare_q`` reads every block.  Everything is
 desk scale by design: this module alone decides the element-count cap,
 ``DEFAULT_CAP``, and the cap on stored image entries (order x degree),
 ``_ENTRY_CAP``, and refuses a larger group before enumerating it where its
-order is known in advance, and during the breadth-first search of
-``closure`` otherwise.
+order is known in advance, and otherwise as soon as ``_generate``, the one
+group-generation routine (Dimino's algorithm), would store a coset past either.
 """
 
 from __future__ import annotations
@@ -168,34 +168,45 @@ class GroupTable:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
-def closure(generators: Iterable[Permutation]) -> GroupTable:
-    """The group generated by ``generators``, enumerated breadth-first on
-    image tuples.
+def _generate(
+    identity: tuple[int, ...], gen_words: Iterable[tuple[int, ...]], limit: int
+) -> set[tuple[int, ...]] | None:
+    """The words of the group generated by ``gen_words``, by Dimino's algorithm:
+    a generator already generated is skipped, and each new one extends the group
+    H so far one right coset H*c at a time, one C-level map over H's words each.
+    ``None`` if a coset would take the group past ``limit`` elements."""
+    seen = {identity}
+    gens: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
+    for g in gen_words:
+        if g in seen:
+            continue
+        gens.append(_right_factor(g))
+        sub, reps = list(seen), [identity]
+        for r in reps:
+            for times in gens:
+                c = times(r)
+                if c not in seen:
+                    if len(seen) + len(sub) > limit:
+                        return None
+                    seen.update(map(_right_factor(c), sub))
+                    reps.append(c)
+    return seen
 
-    Raises ``GroupSizeError`` as soon as the elements found pass either cap.
-    """
+
+def closure(generators: Iterable[Permutation]) -> GroupTable:
+    """The group generated by ``generators``, enumerated by ``_generate``;
+    ``GroupSizeError`` before a coset would take it past either cap."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share one degree")
-    gen_words = [g.images for g in gens]
     limit = min(DEFAULT_CAP, _ENTRY_CAP // degree)
-    seen: set[tuple[int, ...]] = {tuple(range(degree))}
-    frontier: list[tuple[int, ...]] = list(seen)
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for b in frontier:
-            times_b = _right_factor(b)
-            for g in gen_words:
-                c = times_b(g)
-                if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-                    if len(seen) > limit:
-                        _check_size("generated group", len(seen), degree)
-        frontier = new
+    seen = _generate(tuple(range(degree)), [g.images for g in gens], limit)
+    if seen is None:
+        # one element past the limit passes the cap that set it
+        _check_size("generated group", limit + 1, degree)
     return GroupTable._from_words(sorted(seen))
 
 
@@ -219,10 +230,13 @@ def symmetric_group(m: int) -> GroupTable:
 
 
 def cyclic_group(m: int) -> GroupTable:
-    """The cyclic group generated by the +1 (mod m) rotation of {0..m-1}."""
+    """The cyclic group generated by the +1 (mod m) rotation of {0..m-1}:
+    the rotations by k = 0..m-1, already in lexicographic order."""
     _check_size(f"cyclic({m})", m, m)
-    rot = Permutation(tuple((i + 1) % m for i in range(m)))
-    return closure([rot])
+    if m < 1:
+        raise ValueError("permutation degree must be at least 1")
+    points = tuple(range(m))
+    return GroupTable._from_words([points[k:] + points[:k] for k in range(m)])
 
 
 def check_points(points: tuple[int, ...], degree: int) -> None:
@@ -273,28 +287,13 @@ def conjugate_subgroup(group: GroupTable, pi: int, h: tuple[int, ...]) -> tuple[
 
 def _check_subgroup(parent: GroupTable, k: tuple[int, ...]) -> None:
     """Raise ``ValueError`` unless the indices ``k`` are a subgroup, each
-    once: generators taken greedily from the end of ``k`` are closed coset by
-    coset (Dimino's algorithm, each right coset H*c one C-level map over the
-    words of the group H so far), and every coset must lie in ``k``."""
+    once: ``_generate`` on k's words, taken from the end, must give exactly
+    k's words without passing len(k) elements."""
     words = parent.words
     inside = {words[j] for j in k}
-    seen = {words[0]}
-    gens: list[Callable[[tuple[int, ...]], tuple[int, ...]]] = []
-    for j in reversed(k):
-        if len(seen) < len(inside) and words[j] not in seen:
-            gens.append(_right_factor(words[j]))
-            sub, reps = list(seen), [words[0]]
-            for r in reps:
-                for times in gens:
-                    c = times(r)
-                    if c not in seen:
-                        coset = set(map(_right_factor(c), sub))
-                        if not coset <= inside:
-                            raise ValueError("the indices are not a subgroup: not closed")
-                        seen |= coset
-                        reps.append(c)
-    if seen != inside or len(inside) != len(k):
-        raise ValueError("the indices are not a subgroup: no identity, or a repeat")
+    generated = _generate(words[0], [words[j] for j in reversed(k)], len(k))
+    if generated != inside or len(inside) != len(k):
+        raise ValueError("the indices are not a subgroup: empty, not closed, or a repeat")
 
 
 def left_cosets(parent: GroupTable, k: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ from cipherorder.groups import (
     DEFAULT_CAP,
     GroupSizeError,
     _check_size,
+    _generate,
     _image_blocks,
     _image_columns,
     _partition_with_block,
@@ -58,6 +59,26 @@ def test_closure_cap_exceeded():
         closure([transposition(9, 0, 1), cycle(9, range(9))])
 
 
+def test_closure_refuses_a_group_past_the_entry_cap():
+    # cyclic(633) is under the element cap, but 633 words of 633 points pass
+    # the entry cap
+    rotation = cycle(633, range(633))
+    with pytest.raises(GroupSizeError) as info:
+        closure([rotation])
+    assert str(info.value) == (
+        "generated group has more than 400000 image entries (order x degree), "
+        "the group-size cap"
+    )
+
+
+def test_generate_stops_at_its_limit():
+    s8 = [transposition(8, 0, 1).images, cycle(8, range(8)).images]
+    assert _generate(tuple(range(8)), s8, 120) is None
+    s5 = [transposition(5, 0, 1).images, cycle(5, range(5)).images]
+    assert _generate(tuple(range(5)), s5, 119) is None
+    assert _generate(tuple(range(5)), s5, 120) == set(symmetric_group(5).words)
+
+
 @pytest.mark.parametrize(
     "build, m, name",
     [
@@ -85,6 +106,11 @@ def test_entry_budget_fails_before_enumerating():
         with pytest.raises(GroupSizeError) as info:
             cyclic_group(m)
         assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_cyclic_group_equals_the_closure_of_its_rotation(m):
+    assert cyclic_group(m).words == closure([cycle(m, range(m))]).words
 
 
 def test_closure_empty_generators():
@@ -455,3 +481,27 @@ def test_words_first_constructors_match_the_oracle():
             assert_indices(
                 group, stabilizer(group, points), enumerate_subgroup_oracle(fixing)
             )
+
+    # 1-4 generators with the identity, repeats and elements already
+    # generated, which _generate skips; sym(6)'s are drawn from the
+    # stabilizer of a point, so the oracle's groups stay small
+    s6 = symmetric_group(6)
+    for group, pool in (
+        (S4, range(S4.order)),
+        (symmetric_group(5), range(120)),
+        (s6, stabilizer(s6, (5,))),
+    ):
+        for _ in range(10):
+            gens = [group.element(rng.choice(pool))]
+            for _ in range(rng.randrange(4)):
+                kind = rng.choice(["identity", "repeat", "generated", "random"])
+                if kind == "identity":
+                    gens.append(identity(group.degree))
+                elif kind == "repeat":
+                    gens.append(rng.choice(gens))
+                elif kind == "generated":
+                    gens.append(compose(rng.choice(gens), rng.choice(gens)))
+                else:
+                    gens.append(group.element(rng.choice(pool)))
+            rng.shuffle(gens)
+            assert_table(closure(gens), enumerate_subgroup_oracle(gens))
